@@ -336,13 +336,16 @@ main(int argc, char **argv)
     }
 
     // Derive the companion outputs from the results path; '-'
-    // disables each individually.
+    // disables each individually. With the results disabled too and
+    // no explicit path, a companion output has nowhere to go.
     if (metrics_path.empty() && json_path != "-")
         metrics_path = derivedPath(json_path, ".prom");
     if (manifest_path.empty() && json_path != "-")
         manifest_path = derivedPath(json_path, ".manifest.json");
-    if (!use_metrics)
+    if (!use_metrics || metrics_path.empty())
         metrics_path = "-";
+    if (manifest_path.empty())
+        manifest_path = "-";
 
     obs::MetricsRegistry registry;
 
@@ -633,7 +636,7 @@ main(int argc, char **argv)
         std::cout << "metrics: " << metrics_path << "\n";
     }
 
-    if (manifest_path != "-" && !manifest_path.empty()) {
+    if (manifest_path != "-") {
         obs::RunManifest manifest;
         manifest.createdAtUtc = obs::isoTimestampUtc();
         manifest.gitDescribe = obs::collectGitDescribe(".");

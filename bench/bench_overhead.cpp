@@ -17,6 +17,7 @@
 #include <memory>
 #include <unordered_map>
 
+#include "cache/file_cache.hpp"
 #include "core/global.hpp"
 #include "core/pcap.hpp"
 #include "obs/metrics.hpp"
@@ -28,6 +29,8 @@
 #include "sim/kernel.hpp"
 #include "sim/observer.hpp"
 #include "sim/policy.hpp"
+#include "util/rng.hpp"
+#include "workload/app_model.hpp"
 
 using namespace pcap;
 
@@ -146,68 +149,57 @@ BM_GlobalPredictorAccess(benchmark::State &state)
 }
 BENCHMARK(BM_GlobalPredictorAccess)->Arg(1)->Arg(4)->Arg(16);
 
-/** A synthetic execution: n accesses round-robined over 4 pids. */
-sim::ExecutionInput
-makeInput(std::size_t n)
+/** One generated execution of @p app (execution 0, seed 42). */
+trace::Trace
+makeTrace(const std::string &app)
 {
-    sim::ExecutionInput input;
-    input.app = "synthetic";
-    for (std::size_t i = 0; i < n; ++i) {
-        trace::DiskAccess access;
-        access.time = static_cast<TimeUs>(i) * millisUs(10);
-        access.pid = static_cast<Pid>(i % 4);
-        access.pc = 0x08048000u + static_cast<std::uint32_t>(i);
-        input.accesses.push_back(access);
-    }
-    for (Pid pid = 0; pid < 4; ++pid) {
-        input.processes.push_back(
-            {pid, 0, static_cast<TimeUs>(n) * millisUs(10)});
-    }
-    return input;
+    Rng rng = Rng(42 ^ hashString(app)).fork(0);
+    return workload::makeApp(app)->generate(0, rng);
 }
 
 /**
- * The old ExecutionInput::accessesOf: scan the whole stream and
- * copy the matching records into a fresh vector on every call.
- * Kept here as the baseline for the precomputed-slice version.
+ * The file-cache filter on a generated execution at the paper's
+ * 256 KB and at the largest sweep size, 4 MB. "per_lookup" is
+ * seconds per block lookup (2.5n reads as 2.5 ns per lookup).
  */
-std::vector<trace::DiskAccess>
-accessesOfByCopy(const sim::ExecutionInput &input, Pid pid)
-{
-    std::vector<trace::DiskAccess> result;
-    for (const auto &access : input.accesses) {
-        if (access.pid == pid)
-            result.push_back(access);
-    }
-    return result;
-}
-
 void
-BM_AccessesOfCopy(benchmark::State &state)
+BM_FileCacheFilter(benchmark::State &state)
 {
-    const sim::ExecutionInput input =
-        makeInput(static_cast<std::size_t>(state.range(0)));
-    Pid pid = 0;
-    for (auto _ : state) {
-        pid = (pid + 1) % 4;
-        benchmark::DoNotOptimize(accessesOfByCopy(input, pid));
-    }
+    const trace::Trace trace = makeTrace("mozilla");
+    cache::CacheParams params;
+    params.capacityBytes =
+        static_cast<std::size_t>(state.range(0)) * 1024;
+    cache::CacheStats stats;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            cache::filterTrace(trace, params, &stats));
+    state.counters["per_lookup"] = benchmark::Counter(
+        static_cast<double>(stats.lookups),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_AccessesOfCopy)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_FileCacheFilter)->Arg(256)->Arg(4096);
 
+/**
+ * ExecutionInput::finalize on a filtered execution: the merged
+ * replay schedule and its SoA mirror. "per_access" is seconds per
+ * disk access.
+ */
 void
-BM_AccessesOfPrecomputed(benchmark::State &state)
+BM_InputFinalize(benchmark::State &state)
 {
-    const sim::ExecutionInput input =
-        makeInput(static_cast<std::size_t>(state.range(0)));
-    input.accessesOf(0); // finalize outside the timed loop
-    Pid pid = 0;
+    sim::ExecutionInput input = sim::ExecutionInput::fromTrace(
+        makeTrace("mozilla"), cache::CacheParams{});
     for (auto _ : state) {
-        pid = (pid + 1) % 4;
-        benchmark::DoNotOptimize(input.accessesOf(pid).size());
+        input.finalize();
+        benchmark::DoNotOptimize(input.simEvents().data());
     }
+    state.counters["per_access"] = benchmark::Counter(
+        static_cast<double>(input.accesses.size()),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_AccessesOfPrecomputed)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_InputFinalize);
 
 /**
  * The GlobalShutdownPredictor slot store: per-access pid lookup

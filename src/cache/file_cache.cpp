@@ -17,6 +17,21 @@ fileOfKey(std::uint64_t key)
     return static_cast<FileId>(key >> 32);
 }
 
+/** A flush-daemon write-back of @p blocks blocks of @p file. */
+trace::DiskAccess
+writeback(TimeUs time, FileId file, std::uint32_t blocks)
+{
+    trace::DiskAccess access;
+    access.time = time;
+    access.pid = kFlushDaemonPid;
+    access.pc = kFlushDaemonPc;
+    access.fd = -1;
+    access.file = file;
+    access.isWrite = true;
+    access.blocks = blocks;
+    return access;
+}
+
 } // namespace
 
 std::string
@@ -39,6 +54,20 @@ FileCache::FileCache(const CacheParams &params)
     const std::string problem = params_.validate();
     if (!problem.empty())
         fatal("FileCache: bad parameters: " + problem);
+    const std::size_t capacity = params_.capacityBlocks();
+    if (capacity >= kNoSlot)
+        fatal("FileCache: capacity exceeds 2^32 blocks");
+    slots_.resize(capacity);
+    // A power of two at least twice the capacity keeps the index at
+    // most half full, so probe sequences stay short.
+    std::size_t positions = 2;
+    indexShift_ = 63;
+    while (positions < 2 * capacity) {
+        positions *= 2;
+        --indexShift_;
+    }
+    index_.assign(positions, kNoSlot);
+    indexMask_ = positions - 1;
 }
 
 FileCache::BlockKey
@@ -50,45 +79,96 @@ FileCache::makeKey(FileId file, std::uint64_t block_index)
 }
 
 std::size_t
-FileCache::dirtyBlocks() const
+FileCache::homeOf(BlockKey key) const
 {
-    std::size_t count = 0;
-    for (const auto &block : lru_) {
-        if (block.dirty)
-            ++count;
+    // Fibonacci hashing: the top bits of the product mix both the
+    // file id and the block index.
+    return static_cast<std::size_t>(
+        (key * 0x9e3779b97f4a7c15ull) >> indexShift_);
+}
+
+std::size_t
+FileCache::probe(BlockKey key) const
+{
+    std::size_t position = homeOf(key);
+    while (index_[position] != kNoSlot &&
+           slots_[index_[position]].key != key)
+        position = (position + 1) & indexMask_;
+    return position;
+}
+
+void
+FileCache::eraseIndexAt(std::size_t position)
+{
+    // Shift later entries of the probe run back into the hole unless
+    // that would move one before its home position.
+    std::size_t hole = position;
+    for (std::size_t next = (hole + 1) & indexMask_;
+         index_[next] != kNoSlot; next = (next + 1) & indexMask_) {
+        const std::size_t home = homeOf(slots_[index_[next]].key);
+        if (((next - home) & indexMask_) >=
+            ((next - hole) & indexMask_)) {
+            index_[hole] = index_[next];
+            hole = next;
+        }
     }
-    return count;
+    index_[hole] = kNoSlot;
+}
+
+void
+FileCache::unlink(std::uint32_t slot)
+{
+    Slot &block = slots_[slot];
+    if (block.newer != kNoSlot)
+        slots_[block.newer].older = block.older;
+    else
+        mru_ = block.older;
+    if (block.older != kNoSlot)
+        slots_[block.older].newer = block.newer;
+    else
+        lru_ = block.newer;
+}
+
+void
+FileCache::pushMru(std::uint32_t slot)
+{
+    Slot &block = slots_[slot];
+    block.newer = kNoSlot;
+    block.older = mru_;
+    if (mru_ != kNoSlot)
+        slots_[mru_].newer = slot;
+    else
+        lru_ = slot;
+    mru_ = slot;
 }
 
 void
 FileCache::clear()
 {
-    lru_.clear();
-    map_.clear();
+    std::fill(index_.begin(), index_.end(), kNoSlot);
+    resident_ = 0;
+    dirty_ = 0;
+    mru_ = kNoSlot;
+    lru_ = kNoSlot;
     nextFlush_ = params_.flushCheckPeriod;
 }
 
-void
+std::uint32_t
 FileCache::evictOne(TimeUs time, std::vector<trace::DiskAccess> &out)
 {
-    if (lru_.empty())
+    if (lru_ == kNoSlot)
         panic("FileCache::evictOne: cache empty");
-    const Block victim = lru_.back();
-    map_.erase(victim.key);
-    lru_.pop_back();
+    const std::uint32_t victim = lru_;
+    const Slot &block = slots_[victim];
+    eraseIndexAt(probe(block.key));
+    unlink(victim);
     ++stats_.evictions;
-    if (victim.dirty) {
-        trace::DiskAccess writeback;
-        writeback.time = time;
-        writeback.pid = kFlushDaemonPid;
-        writeback.pc = kFlushDaemonPc;
-        writeback.fd = -1;
-        writeback.file = fileOfKey(victim.key);
-        writeback.isWrite = true;
-        writeback.blocks = 1;
-        out.push_back(writeback);
+    if (block.dirty) {
+        --dirty_;
+        out.push_back(writeback(time, fileOfKey(block.key), 1));
         ++stats_.writebackBlocks;
     }
+    return victim;
 }
 
 bool
@@ -96,28 +176,85 @@ FileCache::touchBlock(BlockKey key, bool dirty, TimeUs time,
                       std::vector<trace::DiskAccess> &out)
 {
     ++stats_.lookups;
-    auto it = map_.find(key);
-    if (it != map_.end()) {
+    std::size_t position = probe(key);
+    if (index_[position] != kNoSlot) {
         ++stats_.hits;
-        // Move to MRU position.
-        lru_.splice(lru_.begin(), lru_, it->second);
+        const std::uint32_t slot = index_[position];
+        if (slot != mru_) {
+            unlink(slot);
+            pushMru(slot);
+        }
+        Slot &block = slots_[slot];
         if (dirty) {
             // Re-dirtying refreshes the write-back timer, so data
             // being actively overwritten chases forward to the next
             // quiet period (the flush-timer behaviour the paper
             // notes was being tuned in the Linux community).
-            it->second->dirty = true;
-            it->second->dirtySince = time;
+            if (!block.dirty)
+                ++dirty_;
+            block.dirty = true;
+            block.dirtySince = time;
         }
         return true;
     }
 
     ++stats_.misses;
-    while (map_.size() >= params_.capacityBlocks())
-        evictOne(time, out);
-    lru_.push_front(Block{key, dirty, time});
-    map_[key] = lru_.begin();
+    std::uint32_t slot;
+    if (resident_ < slots_.size()) {
+        slot = static_cast<std::uint32_t>(resident_++);
+    } else {
+        slot = evictOne(time, out);
+        // The eviction may have shifted this key's probe run.
+        position = probe(key);
+    }
+    Slot &block = slots_[slot];
+    block.key = key;
+    block.dirty = dirty;
+    block.dirtySince = time;
+    if (dirty)
+        ++dirty_;
+    index_[position] = slot;
+    pushMru(slot);
     return false;
+}
+
+bool
+FileCache::anyDirtyExpired(TimeUs time) const
+{
+    std::size_t seen = 0;
+    for (std::uint32_t slot = mru_; seen < dirty_;
+         slot = slots_[slot].older) {
+        const Slot &block = slots_[slot];
+        if (!block.dirty)
+            continue;
+        if (time - block.dirtySince >= params_.flushInterval)
+            return true;
+        ++seen;
+    }
+    return false;
+}
+
+void
+FileCache::writeBackAll(TimeUs time, std::vector<trace::DiskAccess> &out)
+{
+    if (dirty_ == 0)
+        return;
+    // Walk from the LRU end, so the first dirty block met names the
+    // write-back's file, and stop once every dirty block is clean.
+    const auto flushed = static_cast<std::uint32_t>(dirty_);
+    FileId lru_file = 0;
+    for (std::uint32_t slot = lru_; dirty_ > 0;
+         slot = slots_[slot].newer) {
+        Slot &block = slots_[slot];
+        if (!block.dirty)
+            continue;
+        if (dirty_ == flushed)
+            lru_file = fileOfKey(block.key);
+        block.dirty = false;
+        --dirty_;
+    }
+    out.push_back(writeback(time, lru_file, flushed));
+    stats_.writebackBlocks += flushed;
 }
 
 void
@@ -132,38 +269,8 @@ FileCache::advanceTo(TimeUs time, std::vector<trace::DiskAccess> &out)
         // has been dirty for the full flush interval, the daemon
         // syncs the whole dirty set in one batch (coalescing avoids
         // back-to-back partial flushes).
-        bool expired = false;
-        for (const auto &block : lru_) {
-            if (block.dirty &&
-                flush_time - block.dirtySince >=
-                    params_.flushInterval) {
-                expired = true;
-                break;
-            }
-        }
-        std::uint32_t flushed = 0;
-        FileId any_file = 0;
-        if (expired) {
-            for (auto &block : lru_) {
-                if (block.dirty) {
-                    block.dirty = false;
-                    ++flushed;
-                    any_file = fileOfKey(block.key);
-                }
-            }
-        }
-        if (flushed > 0) {
-            trace::DiskAccess writeback;
-            writeback.time = flush_time;
-            writeback.pid = kFlushDaemonPid;
-            writeback.pc = kFlushDaemonPc;
-            writeback.fd = -1;
-            writeback.file = any_file;
-            writeback.isWrite = true;
-            writeback.blocks = flushed;
-            out.push_back(writeback);
-            stats_.writebackBlocks += flushed;
-        }
+        if (anyDirtyExpired(flush_time))
+            writeBackAll(flush_time, out);
     }
 }
 
@@ -226,27 +333,7 @@ void
 FileCache::flushAll(TimeUs time, std::vector<trace::DiskAccess> &out)
 {
     advanceTo(time, out);
-    std::uint32_t flushed = 0;
-    FileId any_file = 0;
-    for (auto &block : lru_) {
-        if (block.dirty) {
-            block.dirty = false;
-            ++flushed;
-            any_file = fileOfKey(block.key);
-        }
-    }
-    if (flushed > 0) {
-        trace::DiskAccess writeback;
-        writeback.time = time;
-        writeback.pid = kFlushDaemonPid;
-        writeback.pc = kFlushDaemonPc;
-        writeback.fd = -1;
-        writeback.file = any_file;
-        writeback.isWrite = true;
-        writeback.blocks = flushed;
-        out.push_back(writeback);
-        stats_.writebackBlocks += flushed;
-    }
+    writeBackAll(time, out);
 }
 
 std::vector<trace::DiskAccess>
@@ -259,11 +346,20 @@ filterTrace(const trace::Trace &trace, const CacheParams &params,
         cache.access(event, accesses);
     cache.flushAll(trace.endTime(), accesses);
 
-    std::stable_sort(accesses.begin(), accesses.end(),
-                     [](const trace::DiskAccess &a,
-                        const trace::DiskAccess &b) {
-                         return a.time < b.time;
-                     });
+    // Every access is emitted at the time of the event or flush tick
+    // that caused it, and those arrive in time order, so the stream
+    // is sorted by construction.
+    const auto out_of_order = std::is_sorted_until(
+        accesses.begin(), accesses.end(),
+        [](const trace::DiskAccess &a, const trace::DiskAccess &b) {
+            return a.time < b.time;
+        });
+    if (out_of_order != accesses.end()) {
+        panic("filterTrace: " + trace.app() + " execution " +
+              std::to_string(trace.execution()) +
+              " produced accesses out of time order at index " +
+              std::to_string(out_of_order - accesses.begin()));
+    }
     if (stats_out)
         *stats_out = cache.stats();
     return accesses;

@@ -13,9 +13,7 @@
 #define PCAP_CACHE_FILE_CACHE_HPP
 
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -92,6 +90,12 @@ void recordCacheMetrics(const CacheStats &stats,
  * Feed events in non-decreasing time order via access(), calling
  * advanceTo() liberally so periodic flushes happen on schedule;
  * flushAll() drains the dirty set at the end of a trace.
+ *
+ * Storage is flat and allocated once: a slot array of
+ * capacityBlocks() blocks threaded on an intrusive doubly linked LRU
+ * list, and an open-addressing index (linear probing, at most half
+ * full) from block key to slot. A miss in a full cache reuses the
+ * evicted block's slot, so filtering allocates nothing per lookup.
  */
 class FileCache
 {
@@ -118,10 +122,10 @@ class FileCache
     const CacheStats &stats() const { return stats_; }
 
     /** Number of blocks currently resident. */
-    std::size_t residentBlocks() const { return map_.size(); }
+    std::size_t residentBlocks() const { return resident_; }
 
     /** Number of resident blocks that are dirty. */
-    std::size_t dirtyBlocks() const;
+    std::size_t dirtyBlocks() const { return dirty_; }
 
     /** Drop all cached state (used between executions: cold cache). */
     void clear();
@@ -130,14 +134,34 @@ class FileCache
     /** Identity of one cached block: file id + block index. */
     using BlockKey = std::uint64_t;
 
-    struct Block
+    /** Slot and index sentinel: no slot. */
+    static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+    /** One resident block, linked into the LRU list by slot index. */
+    struct Slot
     {
-        BlockKey key;
+        BlockKey key = 0;
+        TimeUs dirtySince = 0; ///< when the block was last dirtied
+        std::uint32_t newer = kNoSlot; ///< toward the MRU end
+        std::uint32_t older = kNoSlot; ///< toward the LRU end
         bool dirty = false;
-        TimeUs dirtySince = 0; ///< when the block first became dirty
     };
 
     static BlockKey makeKey(FileId file, std::uint64_t block_index);
+
+    /** Index position where @p key's probe sequence starts. */
+    std::size_t homeOf(BlockKey key) const;
+
+    /** Index position holding @p key, or of the empty entry that
+     * ends its probe sequence. */
+    std::size_t probe(BlockKey key) const;
+
+    /** Remove the index entry at @p position (backward-shift
+     * deletion, so probe sequences stay unbroken). */
+    void eraseIndexAt(std::size_t position);
+
+    void unlink(std::uint32_t slot);
+    void pushMru(std::uint32_t slot);
 
     /**
      * Look up one block; on miss, insert it (evicting as needed and
@@ -146,14 +170,31 @@ class FileCache
     bool touchBlock(BlockKey key, bool dirty, TimeUs time,
                     std::vector<trace::DiskAccess> &out);
 
-    /** Evict the LRU block, appending a write-back if dirty. */
-    void evictOne(TimeUs time, std::vector<trace::DiskAccess> &out);
+    /**
+     * Evict the LRU block, appending a write-back if dirty; returns
+     * its now-free slot.
+     */
+    std::uint32_t evictOne(TimeUs time,
+                           std::vector<trace::DiskAccess> &out);
+
+    /** True when some dirty block is at least flushInterval old at
+     * @p time. */
+    bool anyDirtyExpired(TimeUs time) const;
+
+    /** Clean every dirty block and append one coalesced write-back
+     * at @p time, attributed to the LRU-most dirty block's file. */
+    void writeBackAll(TimeUs time, std::vector<trace::DiskAccess> &out);
 
     CacheParams params_;
     CacheStats stats_;
-    // Front = most recently used.
-    std::list<Block> lru_;
-    std::unordered_map<BlockKey, std::list<Block>::iterator> map_;
+    std::vector<Slot> slots_;          ///< capacityBlocks() entries
+    std::vector<std::uint32_t> index_; ///< slot per position, or kNoSlot
+    std::size_t indexMask_ = 0;
+    int indexShift_ = 0;
+    std::size_t resident_ = 0; ///< slots [0, resident_) are in use
+    std::size_t dirty_ = 0;
+    std::uint32_t mru_ = kNoSlot;
+    std::uint32_t lru_ = kNoSlot;
     TimeUs nextFlush_;
 };
 

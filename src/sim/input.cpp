@@ -1,6 +1,8 @@
 #include "sim/input.hpp"
 
 #include <algorithm>
+#include <map>
+#include <unordered_map>
 
 #include "util/logging.hpp"
 
@@ -62,23 +64,55 @@ ExecutionInput::fromTrace(const trace::Trace &trace,
 void
 ExecutionInput::finalize()
 {
-    accessesByPid_.clear();
-    for (const auto &access : accesses)
-        accessesByPid_[access.pid].push_back(access);
-
-    simEvents_.clear();
-    simEvents_.reserve(accesses.size() + 2 * processes.size());
+    // Lifecycle events: two per process, few enough to sort.
+    std::vector<SimEvent> lifecycle;
+    lifecycle.reserve(2 * processes.size());
     for (const auto &span : processes) {
-        simEvents_.push_back(
+        lifecycle.push_back(
             {span.start, SimEventKind::ProcessStart, span.pid, 0});
-        simEvents_.push_back(
+        lifecycle.push_back(
             {span.end, SimEventKind::ProcessExit, span.pid, 0});
     }
-    for (std::size_t i = 0; i < accesses.size(); ++i) {
-        simEvents_.push_back({accesses[i].time, SimEventKind::Access,
-                              accesses[i].pid, i});
+    std::sort(lifecycle.begin(), lifecycle.end());
+
+    // Merge them into the time-sorted accesses one equal-time run at
+    // a time. Starts at a run's time order before its accesses and
+    // exits after them (SimEventKind order), and sorting each run by
+    // (pid, index) completes the SimEvent order, so the schedule
+    // equals a full sort without paying for one.
+    const std::size_t count = accesses.size();
+    simEvents_.clear();
+    simEvents_.reserve(count + lifecycle.size());
+    auto next_lifecycle = lifecycle.cbegin();
+    for (std::size_t run = 0; run < count;) {
+        const TimeUs time = accesses[run].time;
+        std::size_t run_end = run + 1;
+        while (run_end < count && accesses[run_end].time == time)
+            ++run_end;
+        if (run_end < count && accesses[run_end].time < time) {
+            panic("ExecutionInput: accesses of " + app +
+                  " execution " + std::to_string(execution) +
+                  " out of time order at index " +
+                  std::to_string(run_end));
+        }
+        while (next_lifecycle != lifecycle.cend() &&
+               (next_lifecycle->time < time ||
+                (next_lifecycle->time == time &&
+                 next_lifecycle->kind == SimEventKind::ProcessStart)))
+            simEvents_.push_back(*next_lifecycle++);
+        const std::size_t first = simEvents_.size();
+        for (std::size_t i = run; i < run_end; ++i) {
+            simEvents_.push_back(
+                {time, SimEventKind::Access, accesses[i].pid, i});
+        }
+        if (run_end - run > 1)
+            std::sort(simEvents_.begin() +
+                          static_cast<std::ptrdiff_t>(first),
+                      simEvents_.end());
+        run = run_end;
     }
-    std::sort(simEvents_.begin(), simEvents_.end());
+    simEvents_.insert(simEvents_.end(), next_lifecycle,
+                      lifecycle.cend());
 
     // SoA mirror of the sorted schedule for the batched kernel: the
     // hot loop reads times and kinds as dense sequential streams
@@ -96,8 +130,8 @@ ExecutionInput::finalize()
         eventAccessIndex_[i] =
             static_cast<std::uint32_t>(event.accessIndex);
     }
-    accessBlocks_.resize(accesses.size());
-    for (std::size_t i = 0; i < accesses.size(); ++i)
+    accessBlocks_.resize(count);
+    for (std::size_t i = 0; i < count; ++i)
         accessBlocks_[i] = accesses[i].blocks;
     finalized_ = true;
 }
@@ -107,15 +141,6 @@ ExecutionInput::ensureFinalized() const
 {
     if (!finalized_)
         const_cast<ExecutionInput *>(this)->finalize();
-}
-
-const std::vector<trace::DiskAccess> &
-ExecutionInput::accessesOf(Pid pid) const
-{
-    static const std::vector<trace::DiskAccess> kEmpty;
-    ensureFinalized();
-    const auto it = accessesByPid_.find(pid);
-    return it == accessesByPid_.end() ? kEmpty : it->second;
 }
 
 const ProcessSpan &
@@ -146,15 +171,23 @@ ExecutionInput::countGlobalOpportunities(TimeUs breakeven) const
 std::uint64_t
 ExecutionInput::countLocalOpportunities(TimeUs breakeven) const
 {
+    // One pass over the merged stream, tracking each process's
+    // previous access; accesses of pids without a span are ignored.
+    std::unordered_map<Pid, TimeUs> prev;
+    for (const auto &span : processes)
+        prev.emplace(span.pid, -1);
     std::uint64_t count = 0;
+    for (const auto &access : accesses) {
+        const auto it = prev.find(access.pid);
+        if (it == prev.end())
+            continue;
+        if (it->second >= 0 && access.time - it->second > breakeven)
+            ++count;
+        it->second = access.time;
+    }
     for (const auto &span : processes) {
-        TimeUs prev = -1;
-        for (const auto &access : accessesOf(span.pid)) {
-            if (prev >= 0 && access.time - prev > breakeven)
-                ++count;
-            prev = access.time;
-        }
-        if (prev >= 0 && span.end - prev > breakeven)
+        const TimeUs last = prev.at(span.pid);
+        if (last >= 0 && span.end - last > breakeven)
             ++count;
     }
     return count;

@@ -7,16 +7,13 @@
  * An ExecutionInput is immutable once built, and the same input is
  * replayed by dozens of policy runs per bench invocation. It
  * therefore precomputes everything a replay needs that depends only
- * on the input: the per-process access slices (accessesOf used to
- * copy the whole stream per call) and the merged, time-sorted event
- * list the global simulation walks (previously re-sorted on every
- * run).
+ * on the input: the merged, time-sorted event list the global
+ * simulation walks.
  */
 
 #ifndef PCAP_SIM_INPUT_HPP
 #define PCAP_SIM_INPUT_HPP
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -52,6 +49,8 @@ struct SimEvent
     Pid pid = 0;
     std::size_t accessIndex = 0; ///< into ExecutionInput::accesses
 
+    /** Total order of the schedule: time, kind, pid, then the
+     * access's index in the stream (0 for lifecycle events). */
     bool operator<(const SimEvent &other) const
     {
         if (time != other.time)
@@ -59,7 +58,9 @@ struct SimEvent
         if (kind != other.kind)
             return static_cast<int>(kind) <
                    static_cast<int>(other.kind);
-        return pid < other.pid;
+        if (pid != other.pid)
+            return pid < other.pid;
+        return accessIndex < other.accessIndex;
     }
 };
 
@@ -88,21 +89,19 @@ struct ExecutionInput
                                     const cache::CacheParams &params);
 
     /**
-     * Rebuild the derived read-only indexes (per-pid slices and the
-     * merged event schedule) from the primary fields above.
+     * Rebuild the derived read-only indexes (the merged event
+     * schedule and its SoA mirror) from the primary fields above.
+     * The schedule is every event in SimEvent order, built in linear
+     * time: equal-time runs of accesses are ordered by pid and the
+     * sorted lifecycle events are merged in. accesses must be in
+     * time order — an input invariant that fromTrace() and the
+     * deserializer guarantee; finalize() panics otherwise.
      * fromTrace() and the deserializer call this; inputs assembled
      * by hand (tests) are finalized lazily on first derived access.
      * Lazy finalization is not thread-safe — finalize before
      * sharing an input across threads (the library paths all do).
      */
     void finalize();
-
-    /**
-     * Accesses of one process, preserving time order. Returns a
-     * reference to a slice precomputed by finalize() — no per-call
-     * copy. Unknown pids get the shared empty vector.
-     */
-    const std::vector<trace::DiskAccess> &accessesOf(Pid pid) const;
 
     /** The merged time-sorted replay schedule (see finalize()). */
     const std::vector<SimEvent> &simEvents() const
@@ -183,8 +182,6 @@ struct ExecutionInput
   private:
     void ensureFinalized() const;
 
-    mutable std::map<Pid, std::vector<trace::DiskAccess>>
-        accessesByPid_;
     mutable std::vector<SimEvent> simEvents_;
     // SoA mirror of simEvents_ (see eventTimes()).
     mutable std::vector<TimeUs> eventTimes_;

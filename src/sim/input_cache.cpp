@@ -1,5 +1,6 @@
 #include "sim/input_cache.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -130,6 +131,18 @@ readExecutionInputs(std::istream &is, const WorkloadKey &key,
             trace::readDiskAccesses(is, input.accesses);
         if (!problem.empty())
             return "execution " + std::to_string(i) + ": " + problem;
+        // Time order is an input invariant (finalize() relies on
+        // it): a stream that breaks it is a corrupt entry.
+        const auto unsorted = std::is_sorted_until(
+            input.accesses.begin(), input.accesses.end(),
+            [](const trace::DiskAccess &a, const trace::DiskAccess &b) {
+                return a.time < b.time;
+            });
+        if (unsorted != input.accesses.end()) {
+            return "execution " + std::to_string(i) + ": access " +
+                   std::to_string(unsorted - input.accesses.begin()) +
+                   " out of time order";
+        }
         std::uint64_t spans = 0;
         if (!trace::getLe(is, spans) || spans > (1u << 20))
             return "bad span count of execution " + std::to_string(i);

@@ -1,6 +1,7 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <sstream>
 
@@ -9,7 +10,58 @@ namespace pcap::trace {
 void
 Trace::sortByTime()
 {
-    std::stable_sort(events_.begin(), events_.end());
+    // Natural merge sort. Workload builders append events almost in
+    // time order (one to three ascending runs per execution of the
+    // six app models); find the runs, then merge neighbouring runs
+    // pairwise until one is left.
+    // Merging only neighbours, and taking from the left run on ties,
+    // keeps equal events in input order: the result is exactly
+    // std::stable_sort's.
+    std::vector<std::size_t> bounds{0};
+    for (std::size_t i = 1; i < events_.size(); ++i) {
+        if (events_[i] < events_[i - 1])
+            bounds.push_back(i);
+    }
+    bounds.push_back(events_.size());
+    if (bounds.size() <= 2)
+        return;
+
+    const auto at = [](std::vector<TraceEvent> &events, std::size_t i) {
+        return events.begin() + static_cast<std::ptrdiff_t>(i);
+    };
+    std::vector<TraceEvent> buffer(events_.size());
+    std::vector<std::size_t> merged;
+    while (bounds.size() > 2) {
+        merged.assign(1, 0);
+        std::size_t run = 0;
+        for (; run + 2 < bounds.size(); run += 2) {
+            std::merge(at(events_, bounds[run]),
+                       at(events_, bounds[run + 1]),
+                       at(events_, bounds[run + 1]),
+                       at(events_, bounds[run + 2]),
+                       at(buffer, bounds[run]));
+            merged.push_back(bounds[run + 2]);
+        }
+        if (run + 1 < bounds.size()) {
+            // An odd run out carries over unmerged.
+            std::copy(at(events_, bounds[run]), events_.end(),
+                      at(buffer, bounds[run]));
+            merged.push_back(bounds[run + 1]);
+        }
+        events_.swap(buffer);
+        bounds.swap(merged);
+    }
+}
+
+void
+Trace::scaleTimes(double scale)
+{
+    if (scale == 1.0)
+        return;
+    for (TraceEvent &event : events_) {
+        event.time = static_cast<TimeUs>(
+            std::llround(static_cast<double>(event.time) * scale));
+    }
 }
 
 std::size_t

@@ -46,6 +46,13 @@ class Trace
     /** Stable-sort events by (time, pid, type). */
     void sortByTime();
 
+    /**
+     * Multiply every event time by @p scale in place (llround). The
+     * scaling is monotone, so a time-sorted trace stays sorted and
+     * structurally valid; scale == 1.0 leaves the times untouched.
+     */
+    void scaleTimes(double scale);
+
     /** All events, time-sorted if sortByTime() was called. */
     const std::vector<TraceEvent> &events() const { return events_; }
 

@@ -1,7 +1,6 @@
 #include "workload/host_profile.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "util/logging.hpp"
@@ -114,21 +113,6 @@ hostProfile(const FleetConfig &config, std::uint64_t host)
     return profile;
 }
 
-trace::Trace
-scaleTraceTimes(const trace::Trace &trace, double scale)
-{
-    if (scale == 1.0)
-        return trace;
-    trace::Trace scaled(trace.app(), trace.execution());
-    for (trace::TraceEvent event : trace.events()) {
-        event.time = static_cast<TimeUs>(
-            std::llround(static_cast<double>(event.time) * scale));
-        scaled.append(event);
-    }
-    // Monotone scaling preserves the sort; no re-sort needed.
-    return scaled;
-}
-
 HostWorkloadStream::HostWorkloadStream(HostProfile profile)
     : profile_(std::move(profile)), plan_(executionPlan(profile_))
 {
@@ -163,9 +147,10 @@ HostWorkloadStream::next()
     Rng execution_rng = stream.rng.fork(
         static_cast<std::uint64_t>(stream.nextFork));
     ++stream.nextFork;
-    return scaleTraceTimes(
-        stream.model->generate(planned.appExecution, execution_rng),
-        profile_.thinkTimeScale);
+    trace::Trace trace =
+        stream.model->generate(planned.appExecution, execution_rng);
+    trace.scaleTimes(profile_.thinkTimeScale);
+    return trace;
 }
 
 } // namespace pcap::workload

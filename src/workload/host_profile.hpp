@@ -53,8 +53,8 @@ struct HostProfile
     std::uint64_t seed = 0; ///< per-host workload seed
 
     /** Multiplier applied to every event time (1.0 = paper pacing;
-     * applied after generation, so 1.0 is bit-exact, not merely
-     * close). */
+     * applied after generation by trace::Trace::scaleTimes, so 1.0
+     * is bit-exact, not merely close). */
     double thinkTimeScale = 1.0;
 
     std::vector<AppShare> appMix;
@@ -124,13 +124,6 @@ struct FleetConfig
 
 /** Derive host @p host of the fleet (see FleetConfig). */
 HostProfile hostProfile(const FleetConfig &config, std::uint64_t host);
-
-/**
- * Multiply every event time by @p scale (llround, monotone — the
- * trace stays time-sorted and structurally valid). scale == 1.0
- * returns the trace unchanged.
- */
-trace::Trace scaleTraceTimes(const trace::Trace &trace, double scale);
 
 /**
  * Streams one host's traces in schedule order, generate-on-demand:

@@ -148,7 +148,8 @@ TEST(ScaleTraceTimes, ScalesEveryEventAndStaysValid)
     const auto trace = model->generate(0, rng);
     ASSERT_FALSE(trace.events().empty());
 
-    const auto scaled = workload::scaleTraceTimes(trace, 2.0);
+    trace::Trace scaled = trace;
+    scaled.scaleTimes(2.0);
     ASSERT_EQ(scaled.events().size(), trace.events().size());
     EXPECT_EQ(scaled.validate(), "");
     for (std::size_t i = 0; i < trace.events().size(); ++i) {
@@ -159,7 +160,8 @@ TEST(ScaleTraceTimes, ScalesEveryEventAndStaysValid)
     }
 
     // scale == 1.0 is the exact identity, not a round trip.
-    const auto same = workload::scaleTraceTimes(trace, 1.0);
+    trace::Trace same = trace;
+    same.scaleTimes(1.0);
     ASSERT_EQ(same.events().size(), trace.events().size());
     for (std::size_t i = 0; i < trace.events().size(); ++i)
         EXPECT_EQ(same.events()[i].time, trace.events()[i].time);

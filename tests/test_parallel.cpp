@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <unistd.h>
 
@@ -200,6 +201,47 @@ TEST(InputCache, RejectsKeyMismatchAndCorruption)
         std::vector<ExecutionInput> loaded;
         EXPECT_NE(readExecutionInputs(is, key, loaded), "");
     }
+}
+
+TEST(WorkloadCache, OutOfOrderAccessStreamIsAMiss)
+{
+    // A cache entry whose access stream is out of time order — bit
+    // rot, or a writer with a bug — is rejected with a reason and
+    // loads as a miss instead of reaching finalize().
+    Evaluation eval(fastConfig());
+    std::vector<ExecutionInput> corrupt = eval.inputs("nedit");
+    const WorkloadKey key = fastConfig().workloadKey("nedit");
+    auto &accesses = corrupt.back().accesses;
+    ASSERT_GE(accesses.size(), 2u);
+    ASSERT_LT(accesses.front().time, accesses.back().time);
+    std::swap(accesses.front(), accesses.back());
+
+    // Store the good entry, then overwrite it with the corrupt one.
+    TempDir dir;
+    WorkloadCache cache(dir.path);
+    cache.store(key, eval.inputs("nedit"));
+    ASSERT_EQ(cache.stores(), 1u);
+    const auto path = std::filesystem::path(dir.path) / key.fileName();
+    {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        writeExecutionInputs(corrupt, key, os);
+    }
+    {
+        std::ifstream is(path, std::ios::binary);
+        std::vector<ExecutionInput> loaded;
+        const std::string problem = readExecutionInputs(is, key, loaded);
+        EXPECT_NE(problem.find("out of time order"), std::string::npos)
+            << problem;
+    }
+
+    std::vector<ExecutionInput> loaded;
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(cache.load(key, loaded));
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("out of time order"), std::string::npos) << log;
+    EXPECT_TRUE(loaded.empty());
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.hits(), 0u);
 }
 
 TEST(WorkloadCache, DiskRoundTripMatchesGeneration)

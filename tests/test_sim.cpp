@@ -7,9 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "obs/metrics.hpp"
+#include "sim/execution_source.hpp"
 #include "sim/input.hpp"
 #include "sim/simulator.hpp"
+#include "sim/trace_store.hpp"
 #include "trace/builder.hpp"
+#include "workload/app_model.hpp"
+#include "workload/host_profile.hpp"
 
 namespace pcap::sim {
 namespace {
@@ -91,6 +98,23 @@ TEST(ExecutionInput, LocalCountsSumPerProcess)
     input.processes.push_back({kPidB, 0, secondsUs(19)});
     EXPECT_EQ(input.countGlobalOpportunities(secondsUs(10)), 0u);
     EXPECT_EQ(input.countLocalOpportunities(secondsUs(10)), 2u);
+
+    // Trailing periods run to each process's own exit. A: accesses
+    // at 0, 20 and 25 s, exit at 60 s: gaps 20, 5 and a trailing 35.
+    // B: one access at 10 s, exit at 12 s: a trailing 2. An access
+    // from a pid without a span counts for nobody.
+    ExecutionInput spans;
+    spans.app = "local";
+    spans.accesses = {access(0, kPidA), access(secondsUs(10), kPidB),
+                      access(secondsUs(20), kPidA),
+                      access(secondsUs(25), kPidA),
+                      access(secondsUs(30), 999)};
+    spans.processes.push_back({kPidA, 0, secondsUs(60)});
+    spans.processes.push_back({kPidB, 0, secondsUs(12)});
+    spans.endTime = secondsUs(60);
+    EXPECT_EQ(spans.countLocalOpportunities(secondsUs(8)), 2u);
+    EXPECT_EQ(spans.countLocalOpportunities(secondsUs(4)), 3u);
+    EXPECT_EQ(spans.countLocalOpportunities(secondsUs(1)), 4u);
 }
 
 TEST(RunLocal, TimeoutTaxonomyOnScriptedGaps)
@@ -333,6 +357,109 @@ TEST(PolicySession, TimeoutHasNoLearnedState)
     PolicySession session(PolicyConfig::timeoutPolicy());
     EXPECT_EQ(session.tableEntries(), 0u);
     EXPECT_EQ(session.table(), nullptr);
+}
+
+// ---------------------------------------------------------------
+// The replay schedule: finalize() merges in linear time what a full
+// sort under SimEvent's total order would produce.
+// ---------------------------------------------------------------
+
+/** Every event of @p input, sorted the slow way. */
+std::vector<SimEvent>
+fullySortedSchedule(const ExecutionInput &input)
+{
+    std::vector<SimEvent> events;
+    for (const ProcessSpan &span : input.processes) {
+        events.push_back(
+            {span.start, SimEventKind::ProcessStart, span.pid, 0});
+        events.push_back(
+            {span.end, SimEventKind::ProcessExit, span.pid, 0});
+    }
+    for (std::size_t i = 0; i < input.accesses.size(); ++i) {
+        events.push_back({input.accesses[i].time, SimEventKind::Access,
+                          input.accesses[i].pid, i});
+    }
+    std::sort(events.begin(), events.end());
+    return events;
+}
+
+void
+expectScheduleIsFullSort(const ExecutionInput &input)
+{
+    const std::vector<SimEvent> expected = fullySortedSchedule(input);
+    const std::vector<SimEvent> &actual = input.simEvents();
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < actual.size(); ++i) {
+        ASSERT_EQ(actual[i].time, expected[i].time) << "event " << i;
+        ASSERT_EQ(actual[i].kind, expected[i].kind) << "event " << i;
+        ASSERT_EQ(actual[i].pid, expected[i].pid) << "event " << i;
+        ASSERT_EQ(actual[i].accessIndex, expected[i].accessIndex)
+            << "event " << i;
+    }
+}
+
+TEST(ExecutionInput, ScheduleOrdersEqualTimeEventsByKindPidIndex)
+{
+    // Three accesses at 5 s from two pids, listed out of pid order,
+    // plus a start and an exit at the same instant.
+    ExecutionInput input;
+    input.app = "ties";
+    input.accesses = {access(secondsUs(1), kPidA),
+                      access(secondsUs(5), kPidB, 0x1),
+                      access(secondsUs(5), kPidA, 0x2),
+                      access(secondsUs(5), kPidB, 0x3)};
+    input.processes.push_back({kPidA, 0, secondsUs(9)});
+    input.processes.push_back({kPidB, secondsUs(5), secondsUs(5)});
+    input.endTime = secondsUs(9);
+    input.finalize();
+
+    const std::vector<SimEvent> &events = input.simEvents();
+    ASSERT_EQ(events.size(), 8u);
+    EXPECT_EQ(events[2].kind, SimEventKind::ProcessStart); // B at 5 s
+    EXPECT_EQ(events[3].accessIndex, 2u); // A's access first
+    EXPECT_EQ(events[4].accessIndex, 1u); // then B's, index order
+    EXPECT_EQ(events[5].accessIndex, 3u);
+    EXPECT_EQ(events[6].kind, SimEventKind::ProcessExit); // B at 5 s
+    expectScheduleIsFullSort(input);
+}
+
+TEST(ExecutionInput, ScheduleEqualsFullSortOnSuiteAndFleetInputs)
+{
+    // Every execution of every app at the benchmark seed, then 64
+    // hosts of the fleet report's configuration.
+    const obs::ScopedMetrics silent(nullptr, {});
+    const cache::CacheParams cacheParams;
+    for (const std::string &app : workload::standardAppNames()) {
+        SCOPED_TRACE(app);
+        const auto traces =
+            generateTraces(42, app, /*maxExecutions=*/0, 4, silent);
+        for (const ExecutionInput &input :
+             inputsFromTraces(traces, cacheParams, 4))
+            expectScheduleIsFullSort(input);
+    }
+
+    workload::FleetConfig fleet;
+    fleet.hosts = 64;
+    fleet.maxAppsPerHost = 3;
+    fleet.executionsMin = 4;
+    fleet.executionsMax = 12;
+    fleet.minThinkScale = 0.5;
+    fleet.maxThinkScale = 2.0;
+    for (std::uint64_t host = 0; host < fleet.hosts; ++host) {
+        SCOPED_TRACE("fleet host " + std::to_string(host));
+        HostExecutionSource source(workload::hostProfile(fleet, host),
+                                   cacheParams);
+        while (const ExecutionInput *input = source.next())
+            expectScheduleIsFullSort(*input);
+    }
+}
+
+TEST(ExecutionInputDeath, FinalizePanicsOnUnsortedAccesses)
+{
+    ExecutionInput input =
+        scriptedInput({access(secondsUs(2)), access(secondsUs(1))},
+                      secondsUs(10));
+    EXPECT_DEATH(input.finalize(), "out of time order");
 }
 
 } // namespace

@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "trace/builder.hpp"
 #include "trace/event.hpp"
 #include "trace/trace.hpp"
+#include "util/rng.hpp"
+#include "workload/app_model.hpp"
 
 namespace pcap::trace {
 namespace {
@@ -73,6 +78,78 @@ TEST(Trace, SortByTimeIsStable)
     ASSERT_EQ(trace.size(), 3u);
     EXPECT_EQ(trace.events()[0].time, 10);
     EXPECT_EQ(trace.events()[2].time, 30);
+}
+
+/** sortByTime() on a copy of @p events must equal std::stable_sort
+ * — element for element, so equal keys keep their input order. */
+void
+expectSortMatchesStableSort(const std::vector<TraceEvent> &events)
+{
+    Trace trace("app", 0);
+    for (const TraceEvent &event : events)
+        trace.append(event);
+    trace.sortByTime();
+
+    std::vector<TraceEvent> expected = events;
+    std::stable_sort(expected.begin(), expected.end());
+    ASSERT_EQ(trace.events(), expected);
+}
+
+TEST(Trace, SortByTimeEqualsStableSortOnRandomRuns)
+{
+    // Concatenated ascending runs of random length, over few
+    // distinct (time, pid, type) keys so ties are common; the pc
+    // tells equal-key events apart.
+    Rng rng(1234);
+    for (int round = 0; round < 200; ++round) {
+        std::vector<TraceEvent> events;
+        const auto runs = rng.uniformInt(1, 12);
+        for (std::int64_t run = 0; run < runs; ++run) {
+            TimeUs time = rng.uniformInt(0, 50);
+            const auto length = rng.uniformInt(0, 40);
+            for (std::int64_t i = 0; i < length; ++i) {
+                time += rng.uniformInt(0, 3);
+                events.push_back(makeIo(
+                    time, static_cast<Pid>(rng.uniformInt(1, 3)),
+                    static_cast<EventType>(rng.uniformInt(0, 5)),
+                    static_cast<Address>(events.size())));
+            }
+        }
+        // Some rounds shuffle outright: the merge must also cope
+        // with many one-element runs.
+        if (round % 10 == 0) {
+            for (std::size_t i = events.size(); i > 1; --i) {
+                std::swap(events[i - 1],
+                          events[static_cast<std::size_t>(
+                              rng.uniformInt(0, static_cast<std::int64_t>(
+                                                    i - 1)))]);
+            }
+        }
+        SCOPED_TRACE("round " + std::to_string(round));
+        expectSortMatchesStableSort(events);
+    }
+}
+
+TEST(Trace, SortByTimeEqualsStableSortOnAppModelRuns)
+{
+    // Every app model's first execution, regrouped into one
+    // time-ordered run per process, the runs in pid order: more runs
+    // than a builder leaves, over the models' real event mixes.
+    for (const std::string &app : workload::standardAppNames()) {
+        Rng rng = Rng(42 ^ hashString(app)).fork(0);
+        const Trace generated = workload::makeApp(app)->generate(0, rng);
+        std::map<Pid, std::vector<TraceEvent>> by_pid;
+        for (const TraceEvent &event : generated.events())
+            by_pid[event.pid].push_back(event);
+        ASSERT_GT(by_pid.size(), 0u);
+        std::vector<TraceEvent> runs;
+        for (const auto &[pid, events] : by_pid)
+            runs.insert(runs.end(), events.begin(), events.end());
+        SCOPED_TRACE(app);
+        expectSortMatchesStableSort(runs);
+        // A sorted trace is one run and sorts to itself.
+        expectSortMatchesStableSort(generated.events());
+    }
 }
 
 TEST(Trace, IoCountIgnoresLifecycleAndClose)
