@@ -377,7 +377,10 @@ BENCHMARK(BM_IdleSinkClassifyProvenance)
 /**
  * Batched SoA replay kernel (PR 6): one full execution replayed
  * through SimulationKernel per iteration, batched vs the scalar
- * reference loop, with and without an attached observer. The
+ * reference loop, with and without an attached observer; a
+ * MetricsObserver takes no per-event callbacks, so batched/metrics
+ * runs the uninstrumented loop and differs from batched/null only
+ * by the idle tally and the per-execution fold. The
  * "per_period" counter is seconds per idle period (displayed with an
  * SI suffix, so 2.5n reads as 2.5 ns/period); the uninstrumented
  * batched path is the one the <3 ns/period budget applies to.
@@ -407,7 +410,14 @@ makeReplayInput(std::size_t periods)
     return input;
 }
 
-template <sim::KernelPath Path, bool WithObserver>
+/** What observes a BM_KernelBatchReplay run. */
+enum class ReplayObserver {
+    Null,      ///< the shared NullObserver
+    Histogram, ///< an IdleHistogramObserver (per-event callbacks)
+    Metrics,   ///< a MetricsObserver (per-execution totals only)
+};
+
+template <sim::KernelPath Path, ReplayObserver Kind>
 void
 BM_KernelBatchReplay(benchmark::State &state)
 {
@@ -418,9 +428,16 @@ BM_KernelBatchReplay(benchmark::State &state)
     sim::IdleHistogramObserver histogram(
         sim::IdleHistogramObserver::defaultBoundaries(
             params.breakeven()));
+    obs::MetricsRegistry registry;
+    sim::MetricsObserver metrics(
+        obs::ScopedMetrics(&registry, {{"app", "bm"}}),
+        params.breakeven());
     sim::SimObserver &observer =
-        WithObserver ? static_cast<sim::SimObserver &>(histogram)
-                     : sim::nullObserver();
+        Kind == ReplayObserver::Histogram
+            ? static_cast<sim::SimObserver &>(histogram)
+        : Kind == ReplayObserver::Metrics
+            ? static_cast<sim::SimObserver &>(metrics)
+            : sim::nullObserver();
     sim::SimulationKernel kernel(params, observer, Path);
     sim::PolicySession session(sim::policyByName("TP"));
     sim::GlobalDriver driver(session);
@@ -431,18 +448,88 @@ BM_KernelBatchReplay(benchmark::State &state)
         benchmark::Counter::kIsIterationInvariantRate |
             benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_KernelBatchReplay<sim::KernelPath::Batched, false>)
+BENCHMARK(BM_KernelBatchReplay<sim::KernelPath::Batched,
+                               ReplayObserver::Null>)
     ->Name("BM_KernelBatchReplay/batched/null")
     ->Arg(65536);
-BENCHMARK(BM_KernelBatchReplay<sim::KernelPath::Batched, true>)
+BENCHMARK(BM_KernelBatchReplay<sim::KernelPath::Batched,
+                               ReplayObserver::Histogram>)
     ->Name("BM_KernelBatchReplay/batched/observed")
     ->Arg(65536);
-BENCHMARK(BM_KernelBatchReplay<sim::KernelPath::Scalar, false>)
+BENCHMARK(BM_KernelBatchReplay<sim::KernelPath::Batched,
+                               ReplayObserver::Metrics>)
+    ->Name("BM_KernelBatchReplay/batched/metrics")
+    ->Arg(65536);
+BENCHMARK(BM_KernelBatchReplay<sim::KernelPath::Scalar,
+                               ReplayObserver::Null>)
     ->Name("BM_KernelBatchReplay/scalar/null")
     ->Arg(65536);
-BENCHMARK(BM_KernelBatchReplay<sim::KernelPath::Scalar, true>)
+BENCHMARK(BM_KernelBatchReplay<sim::KernelPath::Scalar,
+                               ReplayObserver::Histogram>)
     ->Name("BM_KernelBatchReplay/scalar/observed")
     ->Arg(65536);
+
+/**
+ * The same comparison on a generated mozilla execution after the
+ * 256 KB file cache, replayed under PCAP: real traces classify about
+ * one idle period per disk access, most of them far below the
+ * breakeven time. "per_access" is seconds per disk access.
+ */
+template <ReplayObserver Kind>
+void
+BM_KernelTraceReplay(benchmark::State &state)
+{
+    const sim::ExecutionInput input = sim::ExecutionInput::fromTrace(
+        makeTrace("mozilla"), cache::CacheParams{});
+    sim::SimParams params;
+    obs::MetricsRegistry registry;
+    sim::MetricsObserver metrics(
+        obs::ScopedMetrics(&registry, {{"app", "bm"}}),
+        params.breakeven());
+    sim::SimulationKernel kernel(
+        params, Kind == ReplayObserver::Metrics
+                    ? static_cast<sim::SimObserver &>(metrics)
+                    : sim::nullObserver());
+    sim::PolicySession session(sim::policyByName("PCAP"));
+    sim::GlobalDriver driver(session);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(kernel.runExecution(input, driver));
+    state.counters["per_access"] = benchmark::Counter(
+        static_cast<double>(input.accesses.size()),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_KernelTraceReplay<ReplayObserver::Null>)
+    ->Name("BM_KernelTraceReplay/null");
+BENCHMARK(BM_KernelTraceReplay<ReplayObserver::Metrics>)
+    ->Name("BM_KernelTraceReplay/metrics");
+
+/**
+ * Generation metrics for one generated execution: the
+ * pcap_workload_generated_* series of a trace, recorded into a
+ * registry scope and into a disabled scope. "per_event" is seconds
+ * per trace event.
+ */
+template <bool WithRegistry>
+void
+BM_RecordTraceMetrics(benchmark::State &state)
+{
+    const trace::Trace trace = makeTrace("mozilla");
+    obs::MetricsRegistry registry;
+    const obs::ScopedMetrics scope =
+        WithRegistry ? obs::ScopedMetrics(&registry, {{"app", "bm"}})
+                     : obs::ScopedMetrics();
+    for (auto _ : state)
+        workload::recordTraceMetrics(trace, scope);
+    state.counters["per_event"] = benchmark::Counter(
+        static_cast<double>(trace.events().size()),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RecordTraceMetrics<true>)
+    ->Name("BM_RecordTraceMetrics/registry");
+BENCHMARK(BM_RecordTraceMetrics<false>)
+    ->Name("BM_RecordTraceMetrics/disabled");
 
 void
 BM_TimeoutOnIo(benchmark::State &state)

@@ -71,10 +71,21 @@ Histogram::observe(double v)
     sum_.fetch_add(v, std::memory_order_relaxed);
 }
 
+Histogram::Histogram(SinkTag) : buckets_(1), sink_(true) {}
+
+Histogram &
+Histogram::sink()
+{
+    static Histogram histogram{SinkTag{}};
+    return histogram;
+}
+
 void
 Histogram::merge(const std::vector<std::uint64_t> &bucketCounts,
                  std::uint64_t count, double sum)
 {
+    if (sink_)
+        return;
     if (bucketCounts.size() != buckets_.size())
         panic("Histogram::merge: bucket layout mismatch");
     for (std::size_t i = 0; i < bucketCounts.size(); ++i) {
@@ -222,17 +233,6 @@ MetricsRegistry::seriesCount() const
 // ScopedMetrics
 // ---------------------------------------------------------------
 
-MetricsRegistry &
-ScopedMetrics::registry() const
-{
-    if (registry_)
-        return *registry_;
-    // Disabled scopes record into a process-wide scratch registry
-    // that nothing ever exports, so callers need no null checks.
-    static MetricsRegistry scratch;
-    return scratch;
-}
-
 Labels
 ScopedMetrics::merged(const Labels &extra) const
 {
@@ -246,21 +246,33 @@ ScopedMetrics::merged(const Labels &extra) const
 ScopedMetrics
 ScopedMetrics::with(const Labels &extra) const
 {
+    if (!registry_)
+        return {};
     return ScopedMetrics(registry_, merged(extra));
 }
+
+// Disabled scopes hand out one static sink series per kind: never
+// exported, so callers need no null checks, and resolving one builds
+// no label set and takes no lock.
 
 Counter &
 ScopedMetrics::counter(const std::string &name,
                        const Labels &extra) const
 {
-    return registry().counter(name, merged(extra));
+    static Counter sink;
+    if (!registry_)
+        return sink;
+    return registry_->counter(name, merged(extra));
 }
 
 Gauge &
 ScopedMetrics::gauge(const std::string &name,
                      const Labels &extra) const
 {
-    return registry().gauge(name, merged(extra));
+    static Gauge sink;
+    if (!registry_)
+        return sink;
+    return registry_->gauge(name, merged(extra));
 }
 
 Histogram &
@@ -268,14 +280,19 @@ ScopedMetrics::histogram(const std::string &name,
                          const std::vector<double> &uppers,
                          const Labels &extra) const
 {
-    return registry().histogram(name, uppers, merged(extra));
+    if (!registry_)
+        return Histogram::sink();
+    return registry_->histogram(name, uppers, merged(extra));
 }
 
 PhaseTimer &
 ScopedMetrics::timer(const std::string &name,
                      const Labels &extra) const
 {
-    return registry().timer(name, merged(extra));
+    static PhaseTimer sink;
+    if (!registry_)
+        return sink;
+    return registry_->timer(name, merged(extra));
 }
 
 } // namespace pcap::obs

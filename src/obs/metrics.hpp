@@ -9,7 +9,8 @@
  * PhaseTimers (wall time per phase or cell). All four are lock-free
  * atomics on the hot path: instrumented code resolves its metric
  * once (one mutex-guarded registry lookup) and afterwards pays only
- * relaxed atomic operations per event.
+ * relaxed atomic operations — per execution or per trace where a
+ * local tally can batch them, per event only where it cannot.
  *
  * Series identity is (name, sorted label set), Prometheus-style.
  * Per-run scoping for the parallel experiment engine comes from
@@ -131,10 +132,22 @@ class Histogram
                std::uint64_t count, double sum);
 
   private:
+    friend class ScopedMetrics;
+
+    struct SinkTag
+    {
+    };
+    explicit Histogram(SinkTag);
+
+    /** The shared sink series of disabled scopes: takes a merge of
+     * any bucket layout and keeps none of it. */
+    static Histogram &sink();
+
     std::vector<double> uppers_;
     std::vector<std::atomic<std::uint64_t>> buckets_;
     std::atomic<std::uint64_t> count_{0};
     std::atomic<double> sum_{0.0};
+    bool sink_ = false;
 };
 
 /** Accumulated wall time of one repeatedly-entered phase. */
@@ -282,9 +295,10 @@ class MetricsRegistry
  * A registry handle carrying an implicit label set — the per-run
  * scope of one simulation cell or layer. Scopes are cheap values:
  * copy them, extend them with with(), pass them down. A
- * default-constructed scope is disabled: metrics resolve against a
- * process-wide scratch registry that is never exported, so
- * instrumented code needs no null checks.
+ * default-constructed scope is disabled: every accessor returns one
+ * process-wide sink series per kind, shared by all callers and
+ * never exported, so instrumented code needs no null checks and a
+ * disabled scope builds no labels and takes no lock.
  */
 class ScopedMetrics
 {
@@ -316,7 +330,6 @@ class ScopedMetrics
                       const Labels &extra = {}) const;
 
   private:
-    MetricsRegistry &registry() const;
     Labels merged(const Labels &extra) const;
 
     MetricsRegistry *registry_ = nullptr;

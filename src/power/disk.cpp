@@ -26,10 +26,22 @@ PowerManagedDisk::PowerManagedDisk(const DiskParams &params,
 }
 
 void
+PowerManagedDisk::closeResidency(TimeUs time)
+{
+    if (time > lastChange_) {
+        residencyUs_[static_cast<std::size_t>(state_)] +=
+            static_cast<std::uint64_t>(time - lastChange_);
+    }
+    lastChange_ = time;
+}
+
+void
 PowerManagedDisk::setState(TimeUs time, DiskState next)
 {
     if (state_ == next)
         return;
+    closeResidency(time);
+    ++transitionCount_;
     const DiskState previous = state_;
     state_ = next;
     if (observer_)
@@ -113,6 +125,7 @@ PowerManagedDisk::request(TimeUs time, std::uint32_t blocks)
                     params_.lowPowerExitEnergyJ);
         service_start = time + params_.lowPowerExitTime;
         totalSpinUpDelay_ += params_.lowPowerExitTime;
+        ++wakeUpCount_;
         now_ = service_start;
         if (observer_)
             observer_->onSpinUpServed(time,
@@ -121,6 +134,7 @@ PowerManagedDisk::request(TimeUs time, std::uint32_t blocks)
       case DiskState::Standby: {
         closeGap(time);
         ++spinUpCount_;
+        ++wakeUpCount_;
         ledger_.add(EnergyCategory::PowerCycle, params_.spinUpEnergyJ);
         // If the request lands inside the spin-down transition window
         // (now_ is already past `time`), the spin-up starts only once
@@ -191,6 +205,7 @@ PowerManagedDisk::finish(TimeUs time)
     accrueTo(time);
     if (state_ != DiskState::Active)
         closeGap(time > now_ ? time : now_);
+    closeResidency(time);
     finished_ = true;
 }
 

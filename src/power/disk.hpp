@@ -13,6 +13,7 @@
 #ifndef PCAP_POWER_DISK_HPP
 #define PCAP_POWER_DISK_HPP
 
+#include <array>
 #include <cstdint>
 
 #include "power/disk_params.hpp"
@@ -28,6 +29,10 @@ enum class DiskState {
     LowPower, ///< spinning, heads unloaded (extension, Section 7)
     Standby,  ///< spun down
 };
+
+/** Number of DiskState values (residency arrays are indexed by the
+ * enum). */
+constexpr std::size_t kDiskStates = 4;
 
 /** Human-readable state name. */
 const char *diskStateName(DiskState state);
@@ -156,6 +161,25 @@ class PowerManagedDisk
     /** Number of requests serviced. */
     std::uint64_t requestCount() const { return requestCount_; }
 
+    /** Requests that paid a wake-up: spin-ups plus low-power head
+     * loads (one per DiskObserver::onSpinUpServed). */
+    std::uint64_t wakeUpCount() const { return wakeUpCount_; }
+
+    /** State changes so far (one per
+     * DiskObserver::onDiskStateChange). */
+    std::uint64_t transitionCount() const { return transitionCount_; }
+
+    /**
+     * Integer µs spent in each state, indexed by DiskState, timed at
+     * the stimulus times onDiskStateChange reports. Closed at
+     * finish(), after which the entries sum to the finish time.
+     */
+    const std::array<std::uint64_t, kDiskStates> &
+    residencyUs() const
+    {
+        return residencyUs_;
+    }
+
     /** Start time of the current idle gap (meaningful when not
      * Active). */
     TimeUs gapStart() const { return gapStart_; }
@@ -169,6 +193,9 @@ class PowerManagedDisk
 
     /** Classify and flush the pending gap energy; gap ended at @p t. */
     void closeGap(TimeUs t);
+
+    /** Add the residency of the current state up to @p time. */
+    void closeResidency(TimeUs time);
 
     /** Move to @p next, notifying the observer on a real change. */
     void setState(TimeUs time, DiskState next);
@@ -188,8 +215,13 @@ class PowerManagedDisk
     std::uint64_t lowPowerCount_ = 0;
     std::uint64_t spinUpCount_ = 0;
     std::uint64_t requestCount_ = 0;
+    std::uint64_t wakeUpCount_ = 0;
+    std::uint64_t transitionCount_ = 0;
     TimeUs totalSpinUpDelay_ = 0;
     TimeUs lastRequestTime_ = 0;
+
+    std::array<std::uint64_t, kDiskStates> residencyUs_{};
+    TimeUs lastChange_ = 0; ///< stimulus time of the last state change
 };
 
 } // namespace pcap::power

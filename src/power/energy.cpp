@@ -89,22 +89,4 @@ energyCategorySlug(EnergyCategory category)
     return "unknown";
 }
 
-void
-recordLedgerMetrics(const EnergyLedger &ledger,
-                    const obs::ScopedMetrics &scope)
-{
-    static constexpr EnergyCategory kCategories[] = {
-        EnergyCategory::BusyIo,
-        EnergyCategory::IdleShort,
-        EnergyCategory::IdleLong,
-        EnergyCategory::PowerCycle,
-    };
-    for (EnergyCategory category : kCategories) {
-        scope
-            .gauge("pcap_energy_joules",
-                   {{"category", energyCategorySlug(category)}})
-            .add(ledger.get(category));
-    }
-}
-
 } // namespace pcap::power

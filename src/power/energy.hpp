@@ -10,7 +10,6 @@
 
 #include <string>
 
-#include "obs/metrics.hpp"
 #include "power/disk_params.hpp"
 #include "util/types.hpp"
 
@@ -70,14 +69,6 @@ double energyJ(double power_w, TimeUs duration);
 
 /** Metric-friendly category slug ("busy_io", "idle_short", ...). */
 const char *energyCategorySlug(EnergyCategory category);
-
-/**
- * Add @p ledger's per-category joules to @p scope's
- * pcap_energy_joules{category=...} gauges (Figure 8 breakdown as a
- * metric).
- */
-void recordLedgerMetrics(const EnergyLedger &ledger,
-                         const obs::ScopedMetrics &scope);
 
 } // namespace pcap::power
 

@@ -77,13 +77,34 @@ SimulationKernel::runExecution(const ExecutionInput &input,
 {
     if (path_ == KernelPath::Scalar)
         return runExecutionScalar(input, driver);
-    // The template parameter hoists every observer dispatch out of
-    // the replay loop: against the shared NullObserver the whole
-    // execution runs with instrumentation compiled out.
-    if (&observer_ == &nullObserver())
-        return runExecutionBatched<false>(input, driver);
-    return runExecutionBatched<true>(input, driver);
+    // The template parameter hoists every per-event observer
+    // dispatch out of the replay loop: for an observer that needs
+    // only totals the whole execution runs with instrumentation
+    // compiled out.
+    if (observer_.perEventCallbacks())
+        return runExecutionBatched<true>(input, driver);
+    return runExecutionBatched<false>(input, driver);
 }
+
+namespace {
+
+/**
+ * Finish @p disk at the execution's end and read its totals. A
+ * diskless driver's disk was never used and idles throughout, so
+ * residency partitions simulated time for every driver.
+ */
+ReplayTotals
+finishDisk(power::PowerManagedDisk &disk, TimeUs endTime)
+{
+    disk.finish(endTime);
+    ReplayTotals totals;
+    totals.stateUs = disk.residencyUs();
+    totals.stateTransitions = disk.transitionCount();
+    totals.wakeUps = disk.wakeUpCount();
+    return totals;
+}
+
+} // namespace
 
 template <bool Instrumented>
 RunResult
@@ -91,8 +112,7 @@ SimulationKernel::runExecutionBatched(const ExecutionInput &input,
                                       PolicyDriver &driver)
 {
     driver.beginExecution(input);
-    if constexpr (Instrumented)
-        observer_.onExecutionBegin(input);
+    observer_.onExecutionBegin(input);
 
     const bool with_disk = driver.usesDisk();
     const bool trace_order =
@@ -154,8 +174,7 @@ SimulationKernel::runExecutionBatched(const ExecutionInput &input,
 
     // The SoA mirror of the merged schedule: the batch loop streams
     // dense time/kind arrays instead of striding over SimEvent
-    // records, and the batch boundary is where instrumented runs
-    // get their onBatchFlush notification.
+    // records.
     const std::vector<trace::DiskAccess> &accesses = input.accesses;
     const std::vector<TimeUs> &times = input.eventTimes();
     const std::vector<std::uint8_t> &kinds = input.eventKinds();
@@ -208,8 +227,6 @@ SimulationKernel::runExecutionBatched(const ExecutionInput &input,
                 driver.processExit(pids[i], time, sink);
             }
         }
-        if constexpr (Instrumented)
-            observer_.onBatchFlush(batch_end - base);
     }
 
     if (with_disk) {
@@ -220,16 +237,19 @@ SimulationKernel::runExecutionBatched(const ExecutionInput &input,
                           shutdown_at, shutdown_source);
             issue_shutdown(input.endTime);
         }
-        disk.finish(input.endTime);
-
+    }
+    ReplayTotals totals = finishDisk(disk, input.endTime);
+    totals.batches =
+        (events + kKernelBatchEvents - 1) / kKernelBatchEvents;
+    totals.batchEvents = events;
+    if (with_disk) {
         result.energy = disk.ledger();
         result.shutdowns = disk.shutdownCount();
         result.spinUps = disk.spinUpCount();
         result.totalSpinUpDelay = disk.totalSpinUpDelay();
     }
     driver.endExecution(input, sink);
-    if constexpr (Instrumented)
-        observer_.onExecutionEnd(input, result);
+    observer_.onExecutionEnd(input, result, totals);
     return result;
 }
 
@@ -352,15 +372,16 @@ SimulationKernel::runExecutionScalar(const ExecutionInput &input,
                           shutdown_at, shutdown_source);
             issue_shutdown(input.endTime);
         }
-        disk.finish(input.endTime);
-
+    }
+    const ReplayTotals totals = finishDisk(disk, input.endTime);
+    if (with_disk) {
         result.energy = disk.ledger();
         result.shutdowns = disk.shutdownCount();
         result.spinUps = disk.spinUpCount();
         result.totalSpinUpDelay = disk.totalSpinUpDelay();
     }
     driver.endExecution(input, sink);
-    observer_.onExecutionEnd(input, result);
+    observer_.onExecutionEnd(input, result, totals);
     return result;
 }
 

@@ -12,8 +12,9 @@
  * new evaluation mode is a new driver, not a sixth loop.
  *
  * A SimObserver (observer.hpp) can be attached for per-idle-period
- * instrumentation; the default NullObserver costs one virtual call
- * per classified period and nothing else.
+ * instrumentation; an observer that takes no per-event callbacks
+ * (the default NullObserver, MetricsObserver) costs two virtual
+ * calls per execution and none per event.
  */
 
 #ifndef PCAP_SIM_KERNEL_HPP
@@ -65,10 +66,11 @@ constexpr Pid kMergedStreamPid = -1;
  * IdlePeriodRecord per period to the observer — including Short
  * periods, which AccuracyStats ignores.
  *
- * When the observer is the shared NullObserver, classification runs
- * a stats-only fast path: no IdlePeriodRecord is built and no
- * virtual call is made per period. The tallies are identical either
- * way, so results never depend on instrumentation.
+ * When the observer takes no per-event callbacks, classification
+ * runs a stats-only fast path: no IdlePeriodRecord is built and no
+ * virtual call is made per period; the period's length goes into
+ * the observer's idle tally when it keeps one. The tallies are
+ * identical either way, so results never depend on instrumentation.
  */
 class IdleSink
 {
@@ -76,7 +78,8 @@ class IdleSink
     IdleSink(TimeUs breakeven, AccuracyStats &stats,
              SimObserver &observer)
         : breakeven_(breakeven), stats_(stats), observer_(observer),
-          instrumented_(&observer != &nullObserver())
+          tally_(observer.idleLengthTally()),
+          instrumented_(observer.perEventCallbacks())
     {
     }
 
@@ -97,6 +100,10 @@ class IdleSink
         const bool opportunity = gap > breakeven_;
         if (opportunity)
             ++stats_.opportunities;
+        // Laid out for the null-observer path (the fleet), where
+        // this is the only per-period cost of the idle tally.
+        if (tally_) [[unlikely]]
+            tally_->add(gap);
 
         if (shutdown_at >= 0) {
             // A consent without a mechanism behind it (a process
@@ -145,6 +152,7 @@ class IdleSink
     TimeUs breakeven_;
     AccuracyStats &stats_;
     SimObserver &observer_;
+    IdleLengthTally *tally_;
     bool instrumented_;
 };
 
@@ -231,7 +239,7 @@ enum class KernelPath {
 };
 
 /** Events per batch of the batched replay loop (and the unit of
- * SimObserver::onBatchFlush notifications). */
+ * ReplayTotals::batches). */
 constexpr std::size_t kKernelBatchEvents = 256;
 
 /**
@@ -241,10 +249,12 @@ constexpr std::size_t kKernelBatchEvents = 256;
  *
  * The default Batched path walks the ExecutionInput's SoA event
  * arrays in kKernelBatchEvents-sized batches; when the attached
- * observer is the shared NullObserver the whole replay is compiled
- * with instrumentation statically off — no observer virtual calls,
- * no IdlePeriodRecord construction, a disk model without
- * notifications (<3 ns per classified period, see bench_overhead).
+ * observer takes no per-event callbacks (the shared NullObserver, a
+ * MetricsObserver) the whole replay is compiled with per-event
+ * instrumentation statically off — no observer virtual calls
+ * between onExecutionBegin and onExecutionEnd, no IdlePeriodRecord
+ * construction, a disk model without notifications (<3 ns per
+ * classified period, see bench_overhead).
  */
 class SimulationKernel
 {
@@ -277,9 +287,9 @@ class SimulationKernel
     KernelPath path() const { return path_; }
 
   private:
-    /** The batched SoA loop; Instrumented compiles observer
-     * dispatch in or out (chosen once per execution, not per
-     * event). */
+    /** The batched SoA loop; Instrumented compiles per-event
+     * observer dispatch in or out (chosen once per execution, not
+     * per event). */
     template <bool Instrumented>
     RunResult runExecutionBatched(const ExecutionInput &input,
                                   PolicyDriver &driver);

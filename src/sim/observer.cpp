@@ -29,6 +29,29 @@ nullObserver()
     return observer;
 }
 
+IdleLengthTally::IdleLengthTally(std::vector<TimeUs> bounds)
+    : uppers(std::move(bounds)), buckets(uppers.size() + 1, 0)
+{
+    if (uppers.size() < 2)
+        panic("IdleLengthTally: needs at least two bucket bounds");
+}
+
+std::uint64_t
+IdleLengthTally::count() const
+{
+    std::uint64_t total = 0;
+    for (std::uint64_t n : buckets)
+        total += n;
+    return total;
+}
+
+void
+IdleLengthTally::clear()
+{
+    std::fill(buckets.begin(), buckets.end(), 0);
+    sumUs = 0;
+}
+
 // ---------------------------------------------------------------
 // JsonlTraceObserver
 // ---------------------------------------------------------------
@@ -49,10 +72,12 @@ JsonlTraceObserver::onExecutionBegin(const ExecutionInput &input)
 
 void
 JsonlTraceObserver::onExecutionEnd(const ExecutionInput &input,
-                                   const RunResult &result)
+                                   const RunResult &result,
+                                   const ReplayTotals &totals)
 {
     (void)input;
     (void)result;
+    (void)totals;
     // Push buffered records to the OS now so a full disk or revoked
     // permission surfaces here, attributed to the file — not as a
     // silently truncated trace discovered days later.
@@ -95,6 +120,12 @@ TeeObserver::TeeObserver(std::vector<SimObserver *> observers)
     for (SimObserver *observer : observers_) {
         if (!observer)
             panic("TeeObserver: null observer");
+        perEvent_ = perEvent_ || observer->perEventCallbacks();
+        if (IdleLengthTally *tally = observer->idleLengthTally()) {
+            if (tally_)
+                panic("TeeObserver: two children keep idle tallies");
+            tally_ = tally;
+        }
     }
 }
 
@@ -107,10 +138,11 @@ TeeObserver::onExecutionBegin(const ExecutionInput &input)
 
 void
 TeeObserver::onExecutionEnd(const ExecutionInput &input,
-                            const RunResult &result)
+                            const RunResult &result,
+                            const ReplayTotals &totals)
 {
     for (SimObserver *observer : observers_)
-        observer->onExecutionEnd(input, result);
+        observer->onExecutionEnd(input, result, totals);
 }
 
 void
@@ -139,13 +171,6 @@ TeeObserver::onShutdownIgnored(TimeUs at)
 {
     for (SimObserver *observer : observers_)
         observer->onShutdownIgnored(at);
-}
-
-void
-TeeObserver::onBatchFlush(std::size_t eventCount)
-{
-    for (SimObserver *observer : observers_)
-        observer->onBatchFlush(eventCount);
 }
 
 void
@@ -321,13 +346,11 @@ namespace {
  * because an ablated breakeven may coincide with (or cross) the
  * fixed decades.
  */
-std::vector<double>
+std::vector<TimeUs>
 idleLengthUppers(TimeUs breakeven)
 {
-    std::vector<double> uppers;
-    for (TimeUs upper : IdleHistogramObserver::defaultBoundaries(
-             breakeven))
-        uppers.push_back(static_cast<double>(upper));
+    std::vector<TimeUs> uppers =
+        IdleHistogramObserver::defaultBoundaries(breakeven);
     std::sort(uppers.begin(), uppers.end());
     uppers.erase(std::unique(uppers.begin(), uppers.end()),
                  uppers.end());
@@ -339,9 +362,12 @@ idleLengthUppers(TimeUs breakeven)
 MetricsObserver::MetricsObserver(obs::ScopedMetrics scope,
                                  TimeUs breakeven, bool trackDisk)
     : scope_(std::move(scope)), trackDisk_(trackDisk),
+      idle_(idleLengthUppers(breakeven)),
       executions_(scope_.counter("pcap_sim_executions_total")),
-      idleLength_(scope_.histogram("pcap_sim_idle_period_us",
-                                   idleLengthUppers(breakeven))),
+      // The tally's µs bounds as doubles (exact, far below 2^53).
+      idleLength_(scope_.histogram(
+          "pcap_sim_idle_period_us",
+          {idle_.uppers.begin(), idle_.uppers.end()})),
       shutdownsIssued_(scope_.counter(
           "pcap_sim_shutdown_orders_total", {{"status", "issued"}})),
       shutdownsIgnored_(scope_.counter(
@@ -354,9 +380,7 @@ MetricsObserver::MetricsObserver(obs::ScopedMetrics scope,
       batches_(scope_.counter("pcap_sim_kernel_batches_total")),
       batchEvents_(
           scope_.counter("pcap_sim_kernel_batch_events_total")),
-      batchFlush_(scope_.timer("pcap_sim_batch_flush_seconds")),
-      uppers_(idleLengthUppers(breakeven)),
-      localBuckets_(uppers_.size() + 1, 0)
+      batchFlush_(scope_.timer("pcap_sim_batch_flush_seconds"))
 {
     for (std::size_t i = 0; i < idlePeriods_.size(); ++i) {
         idlePeriods_[i] = &scope_.counter(
@@ -364,139 +388,75 @@ MetricsObserver::MetricsObserver(obs::ScopedMetrics scope,
             {{"outcome",
               idleOutcomeName(static_cast<IdleOutcome>(i))}});
     }
-    static constexpr power::DiskState kStates[] = {
-        power::DiskState::Active,
-        power::DiskState::Idle,
-        power::DiskState::LowPower,
-        power::DiskState::Standby,
-    };
     for (std::size_t i = 0; i < stateUs_.size(); ++i) {
         stateUs_[i] = &scope_.counter(
             "pcap_disk_state_us_total",
-            {{"state", power::diskStateName(kStates[i])}});
+            {{"state", power::diskStateName(
+                           static_cast<power::DiskState>(i))}});
     }
-}
-
-void
-MetricsObserver::flush()
-{
-    // One lap per execution flush: the lap count is deterministic
-    // and diffed by tools/metrics_diff.py; the seconds are wall time
-    // and ignored there.
-    const obs::PhaseTimer::Scope lap = batchFlush_.measure();
-    for (std::size_t i = 0; i < localOutcomes_.size(); ++i) {
-        if (localOutcomes_[i]) {
-            idlePeriods_[i]->inc(localOutcomes_[i]);
-            localOutcomes_[i] = 0;
-        }
+    for (std::size_t i = 0; i < energy_.size(); ++i) {
+        energy_[i] = &scope_.gauge(
+            "pcap_energy_joules",
+            {{"category", power::energyCategorySlug(
+                              static_cast<power::EnergyCategory>(i))}});
     }
-    if (localIdleCount_) {
-        idleLength_.merge(localBuckets_, localIdleCount_,
-                          localIdleSum_);
-        std::fill(localBuckets_.begin(), localBuckets_.end(), 0);
-        localIdleCount_ = 0;
-        localIdleSum_ = 0.0;
-    }
-    shutdownsIssued_.inc(localIssued_);
-    shutdownsIgnored_.inc(localIgnored_);
-    spinUps_.inc(localSpinUps_);
-    spinUpDelayUs_.inc(localSpinUpDelay_);
-    stateTransitions_.inc(localTransitions_);
-    localIssued_ = localIgnored_ = 0;
-    localSpinUps_ = localSpinUpDelay_ = localTransitions_ = 0;
-    for (std::size_t i = 0; i < localStateUs_.size(); ++i) {
-        if (localStateUs_[i]) {
-            stateUs_[i]->inc(localStateUs_[i]);
-            localStateUs_[i] = 0;
-        }
-    }
-    if (localBatches_) {
-        batches_.inc(localBatches_);
-        batchEvents_.inc(localBatchEvents_);
-        localBatches_ = localBatchEvents_ = 0;
-    }
-}
-
-void
-MetricsObserver::onExecutionBegin(const ExecutionInput &input)
-{
-    (void)input;
-    executions_.inc();
-    // A fresh PowerManagedDisk starts Idle at time zero.
-    lastState_ = power::DiskState::Idle;
-    lastChange_ = 0;
 }
 
 void
 MetricsObserver::onExecutionEnd(const ExecutionInput &input,
-                                const RunResult &result)
+                                const RunResult &result,
+                                const ReplayTotals &totals)
 {
-    if (trackDisk_ && input.endTime > lastChange_) {
-        // No transition fires at finish; close the residency of the
-        // final state by hand.
-        localStateUs_[static_cast<std::size_t>(lastState_)] +=
-            static_cast<std::uint64_t>(input.endTime - lastChange_);
+    (void)input;
+    const obs::PhaseTimer::Scope lap = batchFlush_.measure();
+    executions_.inc();
+
+    // Indexed by IdleOutcome. Every classified period is in the
+    // idle tally; all but the Short ones also carry an
+    // AccuracyStats outcome.
+    const AccuracyStats &accuracy = result.accuracy;
+    const std::uint64_t periods = idle_.count();
+    const std::uint64_t outcomes[] = {
+        periods - accuracy.hits() - accuracy.misses() -
+            accuracy.notPredicted,
+        accuracy.notPredicted,
+        accuracy.hitPrimary,
+        accuracy.hitBackup,
+        accuracy.missPrimary,
+        accuracy.missBackup,
+    };
+    for (std::size_t i = 0; i < idlePeriods_.size(); ++i) {
+        if (outcomes[i])
+            idlePeriods_[i]->inc(outcomes[i]);
     }
-    flush();
-    power::recordLedgerMetrics(result.energy, scope_);
-}
-
-void
-MetricsObserver::onIdlePeriod(const IdlePeriodRecord &record)
-{
-    ++localOutcomes_[static_cast<std::size_t>(record.outcome)];
-    const double length = static_cast<double>(record.length());
-    std::size_t index = 0;
-    while (index < uppers_.size() && length > uppers_[index])
-        ++index;
-    ++localBuckets_[index];
-    ++localIdleCount_;
-    localIdleSum_ += length;
-}
-
-void
-MetricsObserver::onBatchFlush(std::size_t eventCount)
-{
-    ++localBatches_;
-    localBatchEvents_ += static_cast<std::uint64_t>(eventCount);
-}
-
-void
-MetricsObserver::onShutdownIssued(TimeUs at)
-{
-    (void)at;
-    ++localIssued_;
-}
-
-void
-MetricsObserver::onShutdownIgnored(TimeUs at)
-{
-    (void)at;
-    ++localIgnored_;
-}
-
-void
-MetricsObserver::onDiskStateChange(TimeUs time, power::DiskState from,
-                                   power::DiskState to)
-{
-    (void)from;
-    if (!trackDisk_)
-        return;
-    ++localTransitions_;
-    if (time > lastChange_) {
-        localStateUs_[static_cast<std::size_t>(lastState_)] +=
-            static_cast<std::uint64_t>(time - lastChange_);
+    if (periods) {
+        // The µs sum is exact as a double (far below 2^53), so this
+        // equals summing each period's length as a double.
+        idleLength_.merge(idle_.buckets, periods,
+                          static_cast<double>(idle_.sumUs));
+        idle_.clear();
     }
-    lastState_ = to;
-    lastChange_ = time;
-}
 
-void
-MetricsObserver::onSpinUpServed(TimeUs time, TimeUs delay)
-{
-    (void)time;
-    ++localSpinUps_;
-    localSpinUpDelay_ += static_cast<std::uint64_t>(delay);
+    shutdownsIssued_.inc(result.shutdowns);
+    shutdownsIgnored_.inc(result.ignoredShutdowns);
+    spinUps_.inc(totals.wakeUps);
+    spinUpDelayUs_.inc(
+        static_cast<std::uint64_t>(result.totalSpinUpDelay));
+    if (trackDisk_) {
+        stateTransitions_.inc(totals.stateTransitions);
+        for (std::size_t i = 0; i < stateUs_.size(); ++i) {
+            if (totals.stateUs[i])
+                stateUs_[i]->inc(totals.stateUs[i]);
+        }
+    }
+    if (totals.batches) {
+        batches_.inc(totals.batches);
+        batchEvents_.inc(totals.batchEvents);
+    }
+    for (std::size_t i = 0; i < energy_.size(); ++i) {
+        energy_[i]->add(result.energy.get(
+            static_cast<power::EnergyCategory>(i)));
+    }
 }
 
 // ---------------------------------------------------------------
@@ -591,12 +551,14 @@ TimelineObserver::onExecutionBegin(const ExecutionInput &input)
 
 void
 TimelineObserver::onExecutionEnd(const ExecutionInput &input,
-                                 const RunResult &result)
+                                 const RunResult &result,
+                                 const ReplayTotals &totals)
 {
     (void)result;
+    (void)totals;
     if (trackDisk_) {
         // No transition fires at finish; close the final state's
-        // residency by hand, as MetricsObserver does.
+        // residency by hand.
         accrue(lastState_, offset_ + lastChange_,
                offset_ + input.endTime);
     }

@@ -8,7 +8,10 @@
  * boundaries, classified idle periods, and shutdown orders
  * issued/ignored. Observers never influence the simulation — the
  * kernel produces bit-identical results whether a NullObserver, a
- * JSONL tracer or a histogram collector is attached.
+ * JSONL tracer or a histogram collector is attached. An observer
+ * that needs only per-execution totals (MetricsObserver) opts out
+ * of the per-event callbacks, and the kernel then replays on its
+ * uninstrumented path.
  */
 
 #ifndef PCAP_SIM_OBSERVER_HPP
@@ -72,6 +75,71 @@ struct IdlePeriodRecord
 };
 
 /**
+ * Per-execution totals the kernel keeps on every replay path and
+ * hands to SimObserver::onExecutionEnd — what an observer that
+ * needs only totals reads instead of per-event callbacks.
+ */
+struct ReplayTotals
+{
+    /** Integer µs per power::DiskState (indexed by the enum); they
+     * sum to the execution's end time. A diskless driver's unused
+     * disk idles throughout. */
+    std::array<std::uint64_t, power::kDiskStates> stateUs{};
+    /** Disk state changes (one per onDiskStateChange). */
+    std::uint64_t stateTransitions = 0;
+    /** Spin-ups plus low-power head loads (one per
+     * onSpinUpServed). */
+    std::uint64_t wakeUps = 0;
+    /** kKernelBatchEvents-sized batches of the batched loop and the
+     * events in them; zero on the scalar loop, which has no batch
+     * structure. */
+    std::uint64_t batches = 0;
+    std::uint64_t batchEvents = 0;
+};
+
+/**
+ * Idle-length distribution of one execution's classified periods
+ * (every outcome, Short included), bucketed by IdleSink for an
+ * observer that asks for it through SimObserver::idleLengthTally —
+ * a short bucket scan and two integer adds per period, not a
+ * callback. Bounds and sum are integer µs.
+ */
+struct IdleLengthTally
+{
+    /** @param bounds At least two strictly ascending inclusive
+     * bucket bounds; an open overflow bucket is appended. */
+    explicit IdleLengthTally(std::vector<TimeUs> bounds);
+
+    void
+    add(TimeUs length)
+    {
+        // Nearly all periods of a replay are gaps inside an I/O
+        // burst and land in the first two buckets: one branch that
+        // almost always goes the same way finds those, without a
+        // data-dependent one between the two.
+        std::size_t index = 2;
+        if (length <= uppers[1]) {
+            index = length > uppers[0];
+        } else {
+            while (index < uppers.size() && length > uppers[index])
+                ++index;
+        }
+        ++buckets[index];
+        sumUs += length;
+    }
+
+    /** Periods tallied (the buckets' total). */
+    std::uint64_t count() const;
+
+    /** Zero the buckets and the sum. */
+    void clear();
+
+    std::vector<TimeUs> uppers;
+    std::vector<std::uint64_t> buckets; ///< overflow last
+    TimeUs sumUs = 0;
+};
+
+/**
  * Hook interface of the replay kernel. All callbacks default to
  * no-ops; implementations override what they need. Callbacks fire
  * on the simulating thread, in replay order.
@@ -79,18 +147,34 @@ struct IdlePeriodRecord
 class SimObserver : public power::DiskObserver
 {
   public:
+    /**
+     * Whether this observer needs the per-event callbacks (idle
+     * periods, shutdown latches and orders, disk transitions). One
+     * that answers false gets only onExecutionBegin and
+     * onExecutionEnd, and a kernel whose observer answers false
+     * replays on its uninstrumented path.
+     */
+    virtual bool perEventCallbacks() const { return true; }
+
+    /** The tally IdleSink fills with every classified period's
+     * length, or null (the default) for none. */
+    virtual IdleLengthTally *idleLengthTally() { return nullptr; }
+
     /** Replay of one execution begins. */
     virtual void onExecutionBegin(const ExecutionInput &input)
     {
         (void)input;
     }
 
-    /** Replay of one execution finished with @p result. */
+    /** Replay of one execution finished with @p result; @p totals
+     * are the kernel's per-execution tallies. */
     virtual void onExecutionEnd(const ExecutionInput &input,
-                                const RunResult &result)
+                                const RunResult &result,
+                                const ReplayTotals &totals)
     {
         (void)input;
         (void)result;
+        (void)totals;
     }
 
     /** An idle period was classified and tallied. */
@@ -118,24 +202,13 @@ class SimObserver : public power::DiskObserver
     /** A spin-down order could not be served (disk busy past the
      * gap, or already down). */
     virtual void onShutdownIgnored(TimeUs at) { (void)at; }
-
-    /**
-     * The batched replay loop finished one event batch of
-     * @p eventCount events (at most sim::kKernelBatchEvents). Fires
-     * only on the instrumented batched path — the scalar reference
-     * loop has no batch structure, and the uninstrumented path makes
-     * no observer calls at all — so it is excluded from the
-     * scalar-vs-batched callback-parity contract.
-     */
-    virtual void onBatchFlush(std::size_t eventCount)
-    {
-        (void)eventCount;
-    }
 };
 
 /** The do-nothing observer every uninstrumented run shares. */
 class NullObserver final : public SimObserver
 {
+  public:
+    bool perEventCallbacks() const override { return false; }
 };
 
 /** Shared NullObserver instance (default kernel observer). */
@@ -156,7 +229,8 @@ class JsonlTraceObserver final : public SimObserver
 
     void onExecutionBegin(const ExecutionInput &input) override;
     void onExecutionEnd(const ExecutionInput &input,
-                        const RunResult &result) override;
+                        const RunResult &result,
+                        const ReplayTotals &totals) override;
     void onIdlePeriod(const IdlePeriodRecord &record) override;
 
     /** Idle-period records written so far. */
@@ -172,29 +246,37 @@ class JsonlTraceObserver final : public SimObserver
 
 /**
  * Fans every callback out to a list of observers, in order — e.g. a
- * JSONL tracer plus a metrics collector on the same run. Null
- * entries are rejected; the observers must outlive the tee.
+ * JSONL tracer plus a metrics collector on the same run. It needs
+ * per-event callbacks when any child does, and passes on the idle
+ * tally of the one child that keeps one. Null entries, and two
+ * children with idle tallies, are rejected; the observers must
+ * outlive the tee.
  */
 class TeeObserver final : public SimObserver
 {
   public:
     explicit TeeObserver(std::vector<SimObserver *> observers);
 
+    bool perEventCallbacks() const override { return perEvent_; }
+    IdleLengthTally *idleLengthTally() override { return tally_; }
+
     void onExecutionBegin(const ExecutionInput &input) override;
     void onExecutionEnd(const ExecutionInput &input,
-                        const RunResult &result) override;
+                        const RunResult &result,
+                        const ReplayTotals &totals) override;
     void onIdlePeriod(const IdlePeriodRecord &record) override;
     void onShutdownLatched(TimeUs at,
                            pred::DecisionSource source) override;
     void onShutdownIssued(TimeUs at) override;
     void onShutdownIgnored(TimeUs at) override;
-    void onBatchFlush(std::size_t eventCount) override;
     void onDiskStateChange(TimeUs time, power::DiskState from,
                            power::DiskState to) override;
     void onSpinUpServed(TimeUs time, TimeUs delay) override;
 
   private:
     std::vector<SimObserver *> observers_;
+    bool perEvent_ = false;
+    IdleLengthTally *tally_ = nullptr;
 };
 
 /**
@@ -271,17 +353,20 @@ class ProvenanceObserver final : public SimObserver,
 };
 
 /**
- * Streams every replay-level event into ScopedMetrics series — the
+ * Folds each replayed execution into ScopedMetrics series — the
  * kernel- and disk-layer instrumentation of the metrics subsystem.
  *
  * All recorded quantities are functions of the simulation alone
  * (simulated microseconds, event counts, joules), so a run's series
  * are byte-identical across machines, thread counts and workload
  * cache states. Metric handles are resolved once here in the
- * constructor, and per-event tallies accumulate in plain local
- * fields — an execution replays on one thread — flushed into the
- * shared atomics once per execution. A classified idle period costs
- * a bucket scan plus a few integer adds, not an atomic RMW.
+ * constructor. The observer takes no per-event callbacks: at
+ * onExecutionEnd it reads the execution's totals — outcome counts
+ * from AccuracyStats, shutdown and spin-up counts from the
+ * RunResult, residency, transitions and batches from ReplayTotals,
+ * idle lengths from the tally IdleSink filled — and adds them to
+ * the shared atomics once. A kernel observed by it alone replays
+ * on the uninstrumented path.
  */
 class MetricsObserver final : public SimObserver
 {
@@ -297,29 +382,24 @@ class MetricsObserver final : public SimObserver
     MetricsObserver(obs::ScopedMetrics scope, TimeUs breakeven,
                     bool trackDisk = true);
 
-    void onExecutionBegin(const ExecutionInput &input) override;
+    bool perEventCallbacks() const override { return false; }
+    IdleLengthTally *idleLengthTally() override { return &idle_; }
+
+    /**
+     * Add the execution's totals to the shared series and clear the
+     * idle tally. Timed into the pcap_sim_batch_flush_seconds
+     * series: its lap count (one per execution) is deterministic and
+     * diffed by tools/metrics_diff.py, while the seconds part is
+     * wall time and ignored there.
+     */
     void onExecutionEnd(const ExecutionInput &input,
-                        const RunResult &result) override;
-    void onIdlePeriod(const IdlePeriodRecord &record) override;
-    void onShutdownIssued(TimeUs at) override;
-    void onShutdownIgnored(TimeUs at) override;
-    void onBatchFlush(std::size_t eventCount) override;
-    void onDiskStateChange(TimeUs time, power::DiskState from,
-                           power::DiskState to) override;
-    void onSpinUpServed(TimeUs time, TimeUs delay) override;
+                        const RunResult &result,
+                        const ReplayTotals &totals) override;
 
   private:
-    /** Push the execution-local tallies into the shared series and
-     * zero them. The push is timed into the
-     * pcap_sim_batch_flush_seconds series: its lap count (one per
-     * execution flush) is deterministic and diffed by
-     * tools/metrics_diff.py, while the seconds part is wall time and
-     * ignored there.
-     */
-    void flush();
-
     obs::ScopedMetrics scope_;
     bool trackDisk_;
+    IdleLengthTally idle_; ///< the current execution's periods
 
     obs::Counter &executions_;
     std::array<obs::Counter *, 6> idlePeriods_;
@@ -328,30 +408,13 @@ class MetricsObserver final : public SimObserver
     obs::Counter &shutdownsIgnored_;
     obs::Counter &spinUps_;
     obs::Counter &spinUpDelayUs_;
-    std::array<obs::Counter *, 4> stateUs_;
+    std::array<obs::Counter *, power::kDiskStates> stateUs_;
     obs::Counter &stateTransitions_;
     obs::Counter &batches_;
     obs::Counter &batchEvents_;
     obs::PhaseTimer &batchFlush_;
-
-    // Execution-local tallies (the replay of one execution is
-    // single-threaded; see flush()).
-    std::vector<double> uppers_; ///< idle-length bucket bounds
-    std::vector<std::uint64_t> localBuckets_;
-    std::uint64_t localIdleCount_ = 0;
-    double localIdleSum_ = 0.0;
-    std::array<std::uint64_t, 6> localOutcomes_{};
-    std::uint64_t localIssued_ = 0;
-    std::uint64_t localIgnored_ = 0;
-    std::uint64_t localSpinUps_ = 0;
-    std::uint64_t localSpinUpDelay_ = 0;
-    std::uint64_t localTransitions_ = 0;
-    std::array<std::uint64_t, 4> localStateUs_{};
-    std::uint64_t localBatches_ = 0;
-    std::uint64_t localBatchEvents_ = 0;
-
-    power::DiskState lastState_ = power::DiskState::Idle;
-    TimeUs lastChange_ = 0;
+    /** pcap_energy_joules, indexed by power::EnergyCategory. */
+    std::array<obs::Gauge *, 4> energy_;
 };
 
 /**
@@ -390,7 +453,8 @@ class TimelineObserver final : public SimObserver
 
     void onExecutionBegin(const ExecutionInput &input) override;
     void onExecutionEnd(const ExecutionInput &input,
-                        const RunResult &result) override;
+                        const RunResult &result,
+                        const ReplayTotals &totals) override;
     void onIdlePeriod(const IdlePeriodRecord &record) override;
     void onShutdownIssued(TimeUs at) override;
     void onDiskStateChange(TimeUs time, power::DiskState from,

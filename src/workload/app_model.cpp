@@ -1,5 +1,7 @@
 #include "workload/app_model.hpp"
 
+#include <array>
+
 #include "workload/apps.hpp"
 
 namespace pcap::workload {
@@ -42,15 +44,28 @@ void
 recordTraceMetrics(const trace::Trace &trace,
                    const obs::ScopedMetrics &scope)
 {
+    // Tally locally and resolve each type's series once per trace:
+    // a registry lookup per event would serialise parallel
+    // generation on the registry lock.
+    constexpr std::size_t kTypes =
+        static_cast<std::size_t>(trace::EventType::Exit) + 1;
+    std::array<std::uint64_t, kTypes> byType{};
+    for (const trace::TraceEvent &event : trace.events())
+        ++byType[static_cast<std::size_t>(event.type)];
+
     scope.counter("pcap_workload_generated_traces_total").inc();
     scope.counter("pcap_workload_generated_span_us_total")
         .inc(static_cast<std::uint64_t>(trace.endTime() -
                                         trace.startTime()));
-    for (const trace::TraceEvent &event : trace.events()) {
+    for (std::size_t type = 0; type < kTypes; ++type) {
+        if (!byType[type])
+            continue;
         scope
             .counter("pcap_workload_generated_events_total",
-                     {{"type", trace::eventTypeName(event.type)}})
-            .inc();
+                     {{"type", trace::eventTypeName(
+                                   static_cast<trace::EventType>(
+                                       type))}})
+            .inc(byType[type]);
     }
 }
 

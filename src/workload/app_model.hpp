@@ -59,8 +59,9 @@ std::vector<std::string> standardAppNames();
 
 /**
  * Add one freshly generated trace to @p scope's
- * pcap_workload_generated_* counters (events by type, traced span).
- * Only generation records these — cache-loaded inputs skip the
+ * pcap_workload_generated_* counters (events by type, traced span):
+ * one increment per series per trace, and no series for an event
+ * type the trace lacks. Only generation records these — cache-loaded inputs skip the
  * generator entirely — so they are excluded from metric diffs by
  * default.
  */

@@ -248,8 +248,8 @@ class RecordingObserver final : public SimObserver
     {
         events.push_back("begin");
     }
-    void onExecutionEnd(const ExecutionInput &,
-                        const RunResult &) override
+    void onExecutionEnd(const ExecutionInput &, const RunResult &,
+                        const ReplayTotals &) override
     {
         events.push_back("end");
     }
@@ -406,9 +406,7 @@ TEST(ObserverOrdering, HistogramBoundariesMustAscend)
 // Kernel path parity: the batched SoA loop is checked against the
 // scalar reference loop — identical RunResults and identical
 // observer callback sequences for every registered policy and every
-// driver kind. onBatchFlush is batched-path bookkeeping, not replay
-// semantics, and is deliberately outside this contract (the
-// RecordingObserver does not record it).
+// driver kind.
 // ---------------------------------------------------------------
 
 void

@@ -1,8 +1,9 @@
 /**
  * @file
  * Observability tests: registry thread-safety, histogram bucket
- * semantics, scope isolation, exporter output, manifest writing and
- * MetricsObserver parity with the uninstrumented kernel.
+ * semantics, scope isolation, exporter output, manifest writing,
+ * MetricsObserver parity with the uninstrumented kernel, and equal
+ * metrics from the kernel's metrics-only and instrumented paths.
  */
 
 #include <gtest/gtest.h>
@@ -10,16 +11,22 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "obs/export.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "power/energy.hpp"
 #include "sim/drivers.hpp"
+#include "sim/experiment.hpp"
 #include "sim/input.hpp"
 #include "sim/kernel.hpp"
 #include "sim/observer.hpp"
@@ -182,6 +189,37 @@ TEST(ScopedMetrics, DisabledScopeRoutesToScratch)
     ScopedMetrics enabled(&registry);
     EXPECT_TRUE(enabled.enabled());
     EXPECT_EQ(registry.seriesCount(), 0u);
+}
+
+TEST(ScopedMetrics, DisabledScopesShareOneSinkPerKind)
+{
+    // Any name and labels resolve to the same sink series, from any
+    // thread; a merge of any bucket layout is accepted and dropped.
+    const ScopedMetrics disabled;
+    obs::Counter &counter = disabled.counter("a_total");
+    obs::Gauge &gauge = disabled.gauge("a_gauge");
+    obs::Histogram &histogram = disabled.histogram("a_us", {1.0});
+    obs::PhaseTimer &timer = disabled.timer("a_seconds");
+    EXPECT_FALSE(disabled.with({{"app", "x"}}).enabled());
+
+    const std::size_t tasks = 32;
+    ThreadPool pool(4);
+    pool.parallelFor(tasks, [&](std::size_t task) {
+        const ScopedMetrics scope =
+            disabled.with({{"task", std::to_string(task)}});
+        const Labels labels = {{"i", std::to_string(task)}};
+        EXPECT_EQ(&scope.counter("b_total", labels), &counter);
+        EXPECT_EQ(&scope.gauge("b_gauge", labels), &gauge);
+        EXPECT_EQ(&scope.histogram("b_us", {1.0, 2.0}, labels),
+                  &histogram);
+        EXPECT_EQ(&scope.timer("b_seconds", labels), &timer);
+        scope.counter("b_total").inc();
+        scope.gauge("b_gauge").add(1.0);
+        scope.histogram("b_us", {}).observe(3.0);
+        scope.histogram("b_us", {}).merge({1, 2, 3}, 6, 9.0);
+        scope.timer("b_seconds").addSeconds(0.5);
+    });
+    EXPECT_GE(counter.value(), tasks);
 }
 
 // ---------------------------------------------------------------
@@ -468,6 +506,99 @@ TEST(MetricsObserver, CountersMatchKernelResults)
     }
     EXPECT_EQ(residency,
               static_cast<std::uint64_t>(input.endTime));
+}
+
+// ---------------------------------------------------------------
+// Metrics-only (uninstrumented) vs instrumented kernel path
+// ---------------------------------------------------------------
+
+/**
+ * Every deterministic sample of @p registry keyed by series
+ * identity: counter and gauge values, histogram buckets, count and
+ * sum, and timer laps (timer seconds are wall time).
+ */
+std::map<std::string, std::vector<double>>
+deterministicSamples(const MetricsRegistry &registry)
+{
+    std::map<std::string, std::vector<double>> samples;
+    for (const auto &series : registry.snapshot()) {
+        std::string key = series.name;
+        for (const auto &[k, v] : series.labels)
+            key += " " + k + "=" + v;
+        std::vector<double> &values = samples[key];
+        switch (series.kind) {
+          case obs::MetricKind::Counter:
+            values.push_back(
+                static_cast<double>(series.counter->value()));
+            break;
+          case obs::MetricKind::Gauge:
+            values.push_back(series.gauge->value());
+            break;
+          case obs::MetricKind::Histogram:
+            for (std::size_t i = 0;
+                 i < series.histogram->bucketCount(); ++i)
+                values.push_back(static_cast<double>(
+                    series.histogram->bucketValue(i)));
+            values.push_back(
+                static_cast<double>(series.histogram->count()));
+            values.push_back(series.histogram->sum());
+            break;
+          case obs::MetricKind::Timer:
+            values.push_back(
+                static_cast<double>(series.timer->laps()));
+            break;
+        }
+    }
+    return samples;
+}
+
+TEST(MetricsKernelPaths, MetricsOnlyEqualsInstrumented)
+{
+    // Metrics alone replay on the uninstrumented kernel path; a
+    // timeline observer beside them forces the instrumented one.
+    // Every deterministic series must come out identical.
+    sim::ExperimentConfig config;
+    config.seed = 42;
+    config.maxExecutions = 3;
+    const std::string timelineDir =
+        (std::filesystem::temp_directory_path() /
+         ("pcap-test-paths-" + std::to_string(::getpid())))
+            .string();
+
+    auto evaluate = [&](MetricsRegistry &registry, bool timeline) {
+        sim::ParallelOptions options;
+        options.metrics = &registry;
+        if (timeline)
+            options.timelineDir = timelineDir;
+        sim::ParallelEvaluation eval(config, options);
+        const sim::PolicyConfig tp = sim::policyByName("TP");
+        const sim::PolicyConfig pcap = sim::policyByName("PCAP");
+        for (const std::string app : {"mozilla", "nedit"}) {
+            eval.globalRun(app, tp);
+            eval.globalRun(app, pcap);
+            eval.multiStateRun(app, pcap);
+            eval.localAccuracy(app, pcap);
+            eval.idealRun(app);
+        }
+    };
+
+    MetricsRegistry metricsOnly, instrumented;
+    evaluate(metricsOnly, false);
+    evaluate(instrumented, true);
+    EXPECT_FALSE(std::filesystem::is_empty(timelineDir));
+    std::filesystem::remove_all(timelineDir);
+
+    const auto fast = deterministicSamples(metricsOnly);
+    const auto slow = deterministicSamples(instrumented);
+    std::set<std::string> families;
+    for (const auto &[key, values] : fast)
+        families.insert(key.substr(0, key.find(' ')));
+    for (const char *family :
+         {"pcap_sim_idle_periods_total", "pcap_sim_idle_period_us",
+          "pcap_disk_state_us_total", "pcap_disk_spin_ups_total",
+          "pcap_energy_joules", "pcap_sim_kernel_batches_total"})
+        EXPECT_EQ(families.count(family), 1u) << family;
+    EXPECT_EQ(fast, slow);
 }
 
 } // namespace

@@ -3,7 +3,8 @@
  * Observer-layer tests: TeeObserver fan-out semantics (ordering and
  * exception propagation across 3+ children) and exhaustiveness of
  * the per-outcome instrumentation — every IdleOutcome value must be
- * handled by MetricsObserver and JsonlTraceObserver.
+ * handled by MetricsObserver (through the sink's tallies) and
+ * JsonlTraceObserver.
  */
 
 #include <gtest/gtest.h>
@@ -41,10 +42,12 @@ class LoggingObserver final : public SimObserver
     }
 
     void onExecutionEnd(const ExecutionInput &input,
-                        const RunResult &result) override
+                        const RunResult &result,
+                        const ReplayTotals &totals) override
     {
         (void)input;
         (void)result;
+        (void)totals;
         log_.push_back(id_ + ":end");
     }
 
@@ -108,7 +111,7 @@ TEST(TeeObserver, ForwardsToAllChildrenInOrder)
     tee.onShutdownLatched(5, pred::DecisionSource::Primary);
     tee.onShutdownIssued(5);
     tee.onIdlePeriod(record);
-    tee.onExecutionEnd(input, result);
+    tee.onExecutionEnd(input, result, {});
 
     const std::vector<std::string> expected = {
         "a:begin",   "b:begin",   "c:begin",   "a:latched",
@@ -162,15 +165,36 @@ TEST(MetricsObserver, HandlesEveryIdleOutcome)
 {
     obs::MetricsRegistry registry;
     obs::ScopedMetrics scope(&registry, {{"test", "outcomes"}});
-    MetricsObserver observer(scope, secondsUs(5.43),
-                             /*trackDisk=*/false);
+    const TimeUs breakeven = secondsUs(5.43);
+    MetricsObserver observer(scope, breakeven, /*trackDisk=*/false);
+
+    // The observer takes no per-period callbacks: outcomes reach it
+    // through the sink's AccuracyStats and idle tally. One period
+    // per IdleOutcome value, in declaration order.
+    RunResult result;
+    IdleSink sink(breakeven, result.accuracy, observer);
+    const TimeUs longGap = secondsUs(30.0);
+    const TimeUs shortGap = secondsUs(1.0);
+    TimeUs t = 0;
+    auto classify = [&](TimeUs gap, TimeUs shutdownAfter,
+                        pred::DecisionSource source) {
+        sink.classify(kMergedStreamPid, t, t + gap,
+                      shutdownAfter < 0 ? -1 : t + shutdownAfter,
+                      source);
+        t += gap;
+    };
+    using pred::DecisionSource;
+    classify(shortGap, -1, DecisionSource::None);
+    classify(longGap, -1, DecisionSource::None);
+    classify(longGap, secondsUs(1.0), DecisionSource::Primary);
+    classify(longGap, secondsUs(1.0), DecisionSource::Backup);
+    classify(shortGap, secondsUs(0.5), DecisionSource::Primary);
+    classify(shortGap, secondsUs(0.5), DecisionSource::Backup);
 
     ExecutionInput input;
     input.app = "t";
     observer.onExecutionBegin(input);
-    for (const IdlePeriodRecord &record : oneRecordPerOutcome())
-        observer.onIdlePeriod(record);
-    observer.onExecutionEnd(input, RunResult{});
+    observer.onExecutionEnd(input, result, {});
 
     // Every outcome value must land in its own labelled series with
     // exactly one count — a new enumerator without observer support
@@ -184,6 +208,8 @@ TEST(MetricsObserver, HandlesEveryIdleOutcome)
         EXPECT_EQ(counter.value(), 1u)
             << "outcome " << name << " not counted";
     }
+    EXPECT_EQ(scope.histogram("pcap_sim_idle_period_us", {}).count(),
+              6u);
 }
 
 TEST(JsonlTraceObserver, HandlesEveryIdleOutcome)
@@ -201,7 +227,7 @@ TEST(JsonlTraceObserver, HandlesEveryIdleOutcome)
         observer.onExecutionBegin(input);
         for (const IdlePeriodRecord &record : oneRecordPerOutcome())
             observer.onIdlePeriod(record);
-        observer.onExecutionEnd(input, RunResult{});
+        observer.onExecutionEnd(input, RunResult{}, {});
         EXPECT_EQ(observer.recordCount(), 6u);
     }
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "power/disk.hpp"
 #include "power/disk_params.hpp"
 #include "power/energy.hpp"
@@ -300,6 +302,63 @@ TEST_F(DiskModel, StateTransitionsAreObservable)
     disk.request(done + secondsUs(10.0), 1);
     EXPECT_EQ(disk.state(), DiskState::Active);
     disk.finish(done + secondsUs(20.0));
+}
+
+/** Folds the disk's notifications the way an observer would. */
+class ResidencyObserver final : public DiskObserver
+{
+  public:
+    void
+    onDiskStateChange(TimeUs time, DiskState from, DiskState to) override
+    {
+        (void)from;
+        ++transitions;
+        if (time > last)
+            us[static_cast<std::size_t>(state)] += time - last;
+        state = to;
+        last = time;
+    }
+
+    void
+    onSpinUpServed(TimeUs time, TimeUs delay) override
+    {
+        (void)time;
+        (void)delay;
+        ++wakeUps;
+    }
+
+    std::array<std::uint64_t, kDiskStates> us{};
+    std::uint64_t transitions = 0;
+    std::uint64_t wakeUps = 0;
+    DiskState state = DiskState::Idle;
+    TimeUs last = 0;
+};
+
+TEST_F(DiskModel, TotalsMatchItsNotifications)
+{
+    // A spin-down, a spin-up, a low-power park and a head load: the
+    // disk's own totals must equal what its observer saw.
+    ResidencyObserver observer;
+    PowerManagedDisk disk(params_, &observer);
+    const TimeUs done = disk.request(0, 100);
+    ASSERT_TRUE(disk.shutdown(done + secondsUs(1.0)));
+    const TimeUs woken = disk.request(secondsUs(30.0), 1);
+    ASSERT_TRUE(disk.enterLowPower(woken + secondsUs(1.0)));
+    disk.request(secondsUs(60.0), 1);
+    const TimeUs end = secondsUs(100.0);
+    disk.finish(end);
+    observer.us[static_cast<std::size_t>(observer.state)] +=
+        end - observer.last;
+
+    EXPECT_EQ(disk.residencyUs(), observer.us);
+    EXPECT_EQ(disk.transitionCount(), observer.transitions);
+    EXPECT_EQ(disk.wakeUpCount(), observer.wakeUps);
+    EXPECT_EQ(disk.wakeUpCount(), 2u);
+    EXPECT_EQ(disk.spinUpCount(), 1u);
+    std::uint64_t total = 0;
+    for (std::uint64_t us : disk.residencyUs())
+        total += us;
+    EXPECT_EQ(total, static_cast<std::uint64_t>(end));
 }
 
 TEST_F(DiskModel, DiskStateNames)

@@ -319,7 +319,7 @@ TEST(TimelineObserver, ReconcilesResidencyAndEnergy)
     observer.onSpinUpServed(6 * kUsPerSec, 0);
     observer.onDiskStateChange(6 * kUsPerSec, DiskState::Standby,
                                DiskState::Active);
-    observer.onExecutionEnd(input, sim::RunResult{});
+    observer.onExecutionEnd(input, sim::RunResult{}, {});
 
     const obs::Timeline &timeline = observer.timeline();
     EXPECT_EQ(timeline.spanUs(), 10 * kUsPerSec);
@@ -355,7 +355,7 @@ TEST(TimelineObserver, ReconcilesResidencyAndEnergy)
     sim::ExecutionInput second;
     second.endTime = 5 * kUsPerSec;
     observer.onExecutionBegin(second);
-    observer.onExecutionEnd(second, sim::RunResult{});
+    observer.onExecutionEnd(second, sim::RunResult{}, {});
     EXPECT_EQ(timeline.spanUs(), 15 * kUsPerSec);
     EXPECT_EQ(totalState(timeline, 1), 7 * kUsPerSec);
 }
@@ -372,7 +372,7 @@ TEST(TimelineObserver, WithoutDiskTrackingKeepsOnlyOutcomes)
     record.end = kUsPerSec;
     record.outcome = sim::IdleOutcome::Short;
     observer.onIdlePeriod(record);
-    observer.onExecutionEnd(input, sim::RunResult{});
+    observer.onExecutionEnd(input, sim::RunResult{}, {});
 
     const obs::Timeline &timeline = observer.timeline();
     EXPECT_EQ(totalOutcomes(timeline, 0), 1u);

@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <map>
 #include <set>
 
+#include "obs/metrics.hpp"
+#include "sim/trace_store.hpp"
 #include "workload/app_model.hpp"
 #include "workload/apps.hpp"
 
@@ -218,6 +222,55 @@ TEST(XemacsShape, MostlySingleProcess)
     }
     EXPECT_GT(multi, 0);
     EXPECT_LT(multi, 8);
+}
+
+/** pcap_workload_generated_events_total by type label, as the
+ * registry holds it. */
+std::map<std::string, std::uint64_t>
+generatedEventSeries(const obs::MetricsRegistry &registry)
+{
+    std::map<std::string, std::uint64_t> byType;
+    for (const auto &series : registry.snapshot()) {
+        if (series.name != "pcap_workload_generated_events_total")
+            continue;
+        for (const auto &[key, value] : series.labels) {
+            if (key == "type")
+                byType[value] = series.counter->value();
+        }
+    }
+    return byType;
+}
+
+TEST(GenerationMetrics, EventCountersEqualPerTypeCounts)
+{
+    // nedit is single-process: its traces have no fork events, so
+    // the absent-type rule is exercised too.
+    const std::string app = "nedit";
+    std::map<unsigned, std::map<std::string, std::uint64_t>> seen;
+    for (unsigned jobs : {1u, 4u}) {
+        obs::MetricsRegistry registry;
+        const std::vector<trace::Trace> traces = sim::generateTraces(
+            42, app, 8, jobs,
+            obs::ScopedMetrics(&registry, {{"app", app}}));
+
+        std::map<std::string, std::uint64_t> expected;
+        for (const trace::Trace &trace : traces) {
+            for (const trace::TraceEvent &event : trace.events())
+                ++expected[trace::eventTypeName(event.type)];
+        }
+        EXPECT_EQ(expected.count("fork"), 0u);
+        // Equal maps: every present type has its exact count, and no
+        // series exists for a type the traces lack.
+        EXPECT_EQ(generatedEventSeries(registry), expected)
+            << "jobs " << jobs;
+        EXPECT_EQ(registry
+                      .counter("pcap_workload_generated_traces_total",
+                               {{"app", app}})
+                      .value(),
+                  traces.size());
+        seen[jobs] = generatedEventSeries(registry);
+    }
+    EXPECT_EQ(seen[1], seen[4]);
 }
 
 } // namespace
