@@ -11,9 +11,11 @@
  * is computed once — reports overlap heavily in the cells they
  * query — and cells fan out across a thread pool where cores exist.
  *
- * Output: the same report text the standalone binaries print, plus
- * per-phase wall-clock timings and a machine-readable
- * BENCH_RESULTS.json for tools/compare_bench.py.
+ * It is the one way to run a report: `--list` names them and
+ * `--only NAME,...` picks some. Output: the report text
+ * (byte-identical to bench/reference), plus per-phase wall-clock
+ * timings and a machine-readable BENCH_RESULTS.json for
+ * tools/compare_bench.py.
  */
 
 #include <chrono>
@@ -503,7 +505,6 @@ main(int argc, char **argv)
         std::cout << text.str();
         Json &entry = report_json[report->name];
         entry = Json::object();
-        entry["binary"] = report->binary;
         entry["ms"] = ms;
         entry["lines"] = linesJson(text.str());
         timing_json[report->name] = ms;

@@ -182,8 +182,7 @@ BENCHMARK(BM_FileCacheFilter)->Arg(256)->Arg(4096);
 
 /**
  * ExecutionInput::finalize on a filtered execution: the merged
- * replay schedule and its SoA mirror. "per_access" is seconds per
- * disk access.
+ * replay schedule. "per_access" is seconds per disk access.
  */
 void
 BM_InputFinalize(benchmark::State &state)
@@ -375,15 +374,14 @@ BENCHMARK(BM_IdleSinkClassifyProvenance)
     ->Name("BM_IdleSinkClassify/provenance");
 
 /**
- * Batched SoA replay kernel (PR 6): one full execution replayed
- * through SimulationKernel per iteration, batched vs the scalar
- * reference loop, with and without an attached observer; a
- * MetricsObserver takes no per-event callbacks, so batched/metrics
- * runs the uninstrumented loop and differs from batched/null only
- * by the idle tally and the per-execution fold. The
+ * The replay kernel: one full execution replayed through
+ * SimulationKernel per iteration, with and without an attached
+ * observer. An IdleHistogramObserver takes per-event callbacks and
+ * replays on the instrumented loop; a MetricsObserver takes none,
+ * so metrics runs the uninstrumented loop and differs from null
+ * only by the idle tally and the per-execution fold. The
  * "per_period" counter is seconds per idle period (displayed with an
- * SI suffix, so 2.5n reads as 2.5 ns/period); the uninstrumented
- * batched path is the one the <3 ns/period budget applies to.
+ * SI suffix, so 2.5n reads as 2.5 ns/period).
  *
  * The input alternates two 100 ms gaps with one 30 s opportunity, so
  * the replay exercises classification, shutdown issuance and the
@@ -410,16 +408,16 @@ makeReplayInput(std::size_t periods)
     return input;
 }
 
-/** What observes a BM_KernelBatchReplay run. */
+/** What observes a BM_KernelReplay run. */
 enum class ReplayObserver {
     Null,      ///< the shared NullObserver
     Histogram, ///< an IdleHistogramObserver (per-event callbacks)
     Metrics,   ///< a MetricsObserver (per-execution totals only)
 };
 
-template <sim::KernelPath Path, ReplayObserver Kind>
+template <ReplayObserver Kind>
 void
-BM_KernelBatchReplay(benchmark::State &state)
+BM_KernelReplay(benchmark::State &state)
 {
     const std::size_t periods =
         static_cast<std::size_t>(state.range(0));
@@ -438,7 +436,7 @@ BM_KernelBatchReplay(benchmark::State &state)
         : Kind == ReplayObserver::Metrics
             ? static_cast<sim::SimObserver &>(metrics)
             : sim::nullObserver();
-    sim::SimulationKernel kernel(params, observer, Path);
+    sim::SimulationKernel kernel(params, observer);
     sim::PolicySession session(sim::policyByName("TP"));
     sim::GlobalDriver driver(session);
     for (auto _ : state)
@@ -448,29 +446,18 @@ BM_KernelBatchReplay(benchmark::State &state)
         benchmark::Counter::kIsIterationInvariantRate |
             benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_KernelBatchReplay<sim::KernelPath::Batched,
-                               ReplayObserver::Null>)
-    ->Name("BM_KernelBatchReplay/batched/null")
+BENCHMARK(BM_KernelReplay<ReplayObserver::Null>)
+    ->Name("BM_KernelReplay/null")
     ->Arg(65536);
-BENCHMARK(BM_KernelBatchReplay<sim::KernelPath::Batched,
-                               ReplayObserver::Histogram>)
-    ->Name("BM_KernelBatchReplay/batched/observed")
+BENCHMARK(BM_KernelReplay<ReplayObserver::Histogram>)
+    ->Name("BM_KernelReplay/observed")
     ->Arg(65536);
-BENCHMARK(BM_KernelBatchReplay<sim::KernelPath::Batched,
-                               ReplayObserver::Metrics>)
-    ->Name("BM_KernelBatchReplay/batched/metrics")
-    ->Arg(65536);
-BENCHMARK(BM_KernelBatchReplay<sim::KernelPath::Scalar,
-                               ReplayObserver::Null>)
-    ->Name("BM_KernelBatchReplay/scalar/null")
-    ->Arg(65536);
-BENCHMARK(BM_KernelBatchReplay<sim::KernelPath::Scalar,
-                               ReplayObserver::Histogram>)
-    ->Name("BM_KernelBatchReplay/scalar/observed")
+BENCHMARK(BM_KernelReplay<ReplayObserver::Metrics>)
+    ->Name("BM_KernelReplay/metrics")
     ->Arg(65536);
 
 /**
- * The same comparison on a generated mozilla execution after the
+ * The same replay on a generated mozilla execution after the
  * 256 KB file cache, replayed under PCAP: real traces classify about
  * one idle period per disk access, most of them far below the
  * breakeven time. "per_access" is seconds per disk access.

@@ -1,11 +1,9 @@
 #include "reports.hpp"
 
-#include <iostream>
-#include <ostream>
-
 #include <fstream>
 #include <iomanip>
 #include <optional>
+#include <ostream>
 #include <sstream>
 
 #include "obs/perf.hpp"
@@ -769,8 +767,7 @@ reportAblationCache(ReportContext &ctx, std::ostream &os)
     // Overlap the rows: each prefetch fans its cells over its own
     // transient pool, and the slowest cell of one configuration no
     // longer gates the start of the next. Serial engines implement
-    // prefetchCells as a no-op, so the standalone binary still
-    // computes every cell inline below.
+    // prefetchCells as a no-op and compute every cell inline below.
     pcap::parallelFor(static_cast<unsigned>(rows.size()),
                       rows.size(), [&](std::size_t i) {
                           rows[i].eval->prefetchCells(
@@ -1414,63 +1411,37 @@ const std::vector<Report> &
 allReports()
 {
     static const std::vector<Report> kReports = {
-        {"table1", "bench_table1", reportTable1, cellsTable1},
-        {"table2", "bench_table2", reportTable2, cellsNone},
-        {"table3", "bench_table3", reportTable3, cellsTable3},
-        {"fig6", "bench_fig6", reportFig6, cellsFig6},
-        {"fig7", "bench_fig7", reportFig7, cellsFig7},
-        {"fig8", "bench_fig8", reportFig8, cellsFig8},
-        {"fig9", "bench_fig9", reportFig9, cellsTable3},
-        {"fig10", "bench_fig10", reportFig10, cellsFig10},
-        {"ablation_timeout", "bench_ablation_timeout",
-         reportAblationTimeout, cellsAblationTimeout},
-        {"ablation_history", "bench_ablation_history",
-         reportAblationHistory, cellsAblationHistory},
-        {"ablation_waitwindow", "bench_ablation_waitwindow",
-         reportAblationWaitWindow, cellsAblationWaitWindow},
-        {"ablation_cache", "bench_ablation_cache",
-         reportAblationCache, cellsAblationCache},
-        {"ablation_unlearn", "bench_ablation_unlearn",
-         reportAblationUnlearn, cellsAblationUnlearn},
-        {"related", "bench_related", reportRelated, cellsRelated},
-        {"extension_multistate", "bench_extension_multistate",
-         reportMultiState, cellsMultiState},
+        {"table1", reportTable1, cellsTable1},
+        {"table2", reportTable2, cellsNone},
+        {"table3", reportTable3, cellsTable3},
+        {"fig6", reportFig6, cellsFig6},
+        {"fig7", reportFig7, cellsFig7},
+        {"fig8", reportFig8, cellsFig8},
+        {"fig9", reportFig9, cellsTable3},
+        {"fig10", reportFig10, cellsFig10},
+        {"ablation_timeout", reportAblationTimeout,
+         cellsAblationTimeout},
+        {"ablation_history", reportAblationHistory,
+         cellsAblationHistory},
+        {"ablation_waitwindow", reportAblationWaitWindow,
+         cellsAblationWaitWindow},
+        {"ablation_cache", reportAblationCache, cellsAblationCache},
+        {"ablation_unlearn", reportAblationUnlearn,
+         cellsAblationUnlearn},
+        {"related", reportRelated, cellsRelated},
+        {"extension_multistate", reportMultiState, cellsMultiState},
         // Opt-in: new instrumentation report, outside the
         // byte-compared reference suite.
-        {"idle_histogram", "", reportIdleHistogram, cellsNone,
+        {"idle_histogram", reportIdleHistogram, cellsNone,
          /*optIn=*/true},
-        {"signature_attribution", "", reportSignatureAttribution,
+        {"signature_attribution", reportSignatureAttribution,
          cellsNone, /*optIn=*/true},
         // Opt-in: streaming fleet simulation — does not query the
         // shared engine at all, so `--only fleet` never
         // materializes the six-app workload.
-        {"fleet", "", reportFleet, cellsNone, /*optIn=*/true},
+        {"fleet", reportFleet, cellsNone, /*optIn=*/true},
     };
     return kReports;
-}
-
-int
-runReportStandalone(const std::string &name)
-{
-    for (const Report &report : allReports()) {
-        if (report.name != name)
-            continue;
-        // One trace store for the standard engine and any sweep
-        // engines the report builds: configurations share raw
-        // traces and re-run only the file-cache filter.
-        auto store = std::make_shared<sim::TraceStore>();
-        sim::Evaluation eval(standardConfig(), store);
-        ReportContext ctx{
-            eval, [store](const sim::ExperimentConfig &config) {
-                return std::unique_ptr<sim::EvaluationApi>(
-                    new sim::Evaluation(config, store));
-            }};
-        ctx.traceStore = store.get();
-        report.run(ctx, std::cout);
-        return 0;
-    }
-    error("unknown report: " + name);
-    return 1;
 }
 
 } // namespace pcap::bench

@@ -2,11 +2,11 @@
  * @file
  * The paper's tables and figures as reusable report functions.
  *
- * Every report renders through any EvaluationApi — the per-figure
- * binaries pass a serial sim::Evaluation (and stay byte-identical to
- * their historical output), while bench_all passes one shared
- * sim::ParallelEvaluation so the whole suite reuses a single
- * generated workload and memoized simulation cells.
+ * Every report renders through any EvaluationApi. bench_all — the
+ * one way to run a report (`bench_all --only NAME`) — passes one
+ * shared sim::ParallelEvaluation, so the whole suite reuses a single
+ * generated workload and memoized simulation cells; the text is
+ * byte-identical to bench/reference at any job count.
  *
  * Each report also enumerates the standard-config simulation cells
  * it will query, so bench_all can prefetch the union across the
@@ -103,10 +103,7 @@ struct Report
     /** Short name for --only selection and JSON keys. */
     std::string name;
 
-    /** The historical standalone binary. */
-    std::string binary;
-
-    /** Render the report (text identical to the old binary). */
+    /** Render the report (text identical to bench/reference). */
     void (*run)(ReportContext &ctx, std::ostream &os);
 
     /** Standard-config cells the report queries, for prefetching.
@@ -120,13 +117,6 @@ struct Report
 
 /** All reports, in the canonical EXPERIMENTS.md order. */
 const std::vector<Report> &allReports();
-
-/**
- * Convenience for the thin per-figure wrappers: run one report with
- * a private serial Evaluation on std::cout.
- * @return the process exit code.
- */
-int runReportStandalone(const std::string &name);
 
 } // namespace pcap::bench
 

@@ -46,7 +46,10 @@ copyDetail(std::array<char, kSpanDetailBytes> &dst,
 {
     const std::size_t n =
         std::min(src.size(), kSpanDetailBytes - 1);
-    std::memcpy(dst.data(), src.data(), n);
+    // An empty view may carry a null data(), which memcpy must not
+    // see even for a zero-byte copy.
+    if (n > 0)
+        std::memcpy(dst.data(), src.data(), n);
     dst[n] = '\0';
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Experiment driver: ties the workload models, the file cache and
- * the simulator together, so every bench binary and integration test
- * asks one object for the paper's numbers.
+ * the simulator together, so every report and integration test asks
+ * one object for the paper's numbers.
  *
  * Two implementations share the EvaluationApi interface:
  *
@@ -29,8 +29,9 @@
 #include "obs/metrics.hpp"
 #include "sim/input.hpp"
 #include "sim/input_cache.hpp"
+#include "sim/kernel.hpp"
 #include "sim/policy.hpp"
-#include "sim/simulator.hpp"
+#include "sim/stats.hpp"
 
 namespace pcap::sim {
 
@@ -136,8 +137,8 @@ class EvaluationApi
 /**
  * Lazily generates, caches and evaluates the workload — strictly
  * serially, on the calling thread. Inputs are deterministic
- * functions of the config seed, so every bench binary reproduces
- * identical numbers.
+ * functions of the config seed, so every run reproduces identical
+ * numbers.
  */
 class Evaluation : public EvaluationApi
 {

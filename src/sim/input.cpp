@@ -113,26 +113,6 @@ ExecutionInput::finalize()
     }
     simEvents_.insert(simEvents_.end(), next_lifecycle,
                       lifecycle.cend());
-
-    // SoA mirror of the sorted schedule for the batched kernel: the
-    // hot loop reads times and kinds as dense sequential streams
-    // instead of striding over 24-byte SimEvent records.
-    const std::size_t events = simEvents_.size();
-    eventTimes_.resize(events);
-    eventKinds_.resize(events);
-    eventPids_.resize(events);
-    eventAccessIndex_.resize(events);
-    for (std::size_t i = 0; i < events; ++i) {
-        const SimEvent &event = simEvents_[i];
-        eventTimes_[i] = event.time;
-        eventKinds_[i] = static_cast<std::uint8_t>(event.kind);
-        eventPids_[i] = event.pid;
-        eventAccessIndex_[i] =
-            static_cast<std::uint32_t>(event.accessIndex);
-    }
-    accessBlocks_.resize(count);
-    for (std::size_t i = 0; i < count; ++i)
-        accessBlocks_[i] = accesses[i].blocks;
     finalized_ = true;
 }
 

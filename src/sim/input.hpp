@@ -89,8 +89,8 @@ struct ExecutionInput
                                     const cache::CacheParams &params);
 
     /**
-     * Rebuild the derived read-only indexes (the merged event
-     * schedule and its SoA mirror) from the primary fields above.
+     * Rebuild the derived read-only index (the merged event
+     * schedule) from the primary fields above.
      * The schedule is every event in SimEvent order, built in linear
      * time: equal-time runs of accesses are ordered by pid and the
      * sorted lifecycle events are merged in. accesses must be in
@@ -108,51 +108,6 @@ struct ExecutionInput
     {
         ensureFinalized();
         return simEvents_;
-    }
-
-    /**
-     * Struct-of-arrays mirror of simEvents(), in the same order —
-     * the batched replay kernel walks these instead of the AoS
-     * schedule so the hot loop streams 8-byte times and 1-byte kinds
-     * rather than whole SimEvent records. All four arrays share
-     * simEvents().size(); eventAccessIndex() is meaningful only at
-     * positions whose kind is Access.
-     */
-    const std::vector<TimeUs> &eventTimes() const
-    {
-        ensureFinalized();
-        return eventTimes_;
-    }
-
-    /** Event kinds (SimEventKind values), parallel to eventTimes(). */
-    const std::vector<std::uint8_t> &eventKinds() const
-    {
-        ensureFinalized();
-        return eventKinds_;
-    }
-
-    /** Event pids, parallel to eventTimes(). */
-    const std::vector<Pid> &eventPids() const
-    {
-        ensureFinalized();
-        return eventPids_;
-    }
-
-    /** Index into accesses for Access events, parallel to
-     * eventTimes(). */
-    const std::vector<std::uint32_t> &eventAccessIndex() const
-    {
-        ensureFinalized();
-        return eventAccessIndex_;
-    }
-
-    /** Block count of each access (accesses[i].blocks), indexed like
-     * the accesses array — the disk-model operand of the batched
-     * kernel. */
-    const std::vector<std::uint32_t> &accessBlocks() const
-    {
-        ensureFinalized();
-        return accessBlocks_;
     }
 
     /** Span of one process; panics when the pid is unknown. */
@@ -176,19 +131,13 @@ struct ExecutionInput
      */
     std::uint64_t countLocalOpportunities(TimeUs breakeven) const;
 
-    /** Primary-field equality (derived indexes are excluded). */
+    /** Primary-field equality (the derived schedule is excluded). */
     bool sameContentAs(const ExecutionInput &other) const;
 
   private:
     void ensureFinalized() const;
 
     mutable std::vector<SimEvent> simEvents_;
-    // SoA mirror of simEvents_ (see eventTimes()).
-    mutable std::vector<TimeUs> eventTimes_;
-    mutable std::vector<std::uint8_t> eventKinds_;
-    mutable std::vector<Pid> eventPids_;
-    mutable std::vector<std::uint32_t> eventAccessIndex_;
-    mutable std::vector<std::uint32_t> accessBlocks_;
     mutable bool finalized_ = false;
 };
 

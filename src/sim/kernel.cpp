@@ -75,15 +75,13 @@ RunResult
 SimulationKernel::runExecution(const ExecutionInput &input,
                                PolicyDriver &driver)
 {
-    if (path_ == KernelPath::Scalar)
-        return runExecutionScalar(input, driver);
     // The template parameter hoists every per-event observer
     // dispatch out of the replay loop: for an observer that needs
     // only totals the whole execution runs with instrumentation
     // compiled out.
     if (observer_.perEventCallbacks())
-        return runExecutionBatched<true>(input, driver);
-    return runExecutionBatched<false>(input, driver);
+        return runExecution<true>(input, driver);
+    return runExecution<false>(input, driver);
 }
 
 namespace {
@@ -108,8 +106,8 @@ finishDisk(power::PowerManagedDisk &disk, TimeUs endTime)
 
 template <bool Instrumented>
 RunResult
-SimulationKernel::runExecutionBatched(const ExecutionInput &input,
-                                      PolicyDriver &driver)
+SimulationKernel::runExecution(const ExecutionInput &input,
+                               PolicyDriver &driver)
 {
     driver.beginExecution(input);
     observer_.onExecutionBegin(input);
@@ -118,153 +116,10 @@ SimulationKernel::runExecutionBatched(const ExecutionInput &input,
     const bool trace_order =
         driver.replayOrder() == ReplayOrder::Trace;
 
+    // Uninstrumented replays drive a notification-free disk model;
+    // every other observer call below is compiled out likewise.
     power::PowerManagedDisk disk(params_.disk,
                                  Instrumented ? &observer_ : nullptr);
-    RunResult result;
-    IdleSink sink(params_.breakeven(), result.accuracy, observer_);
-
-    TimeUs gap_start = -1;  ///< arrival of the last access
-    TimeUs seg_start = -1;  ///< earliest instant not yet checked
-    TimeUs shutdown_at = -1;
-    pred::DecisionSource shutdown_source = pred::DecisionSource::None;
-    TimeUs last_completion = 0; ///< when the disk last went idle
-    bool low_power_pending = false;
-    std::size_t access_cursor = 0;
-
-    // Identical semantics to the scalar loop's lambdas; see
-    // runExecutionScalar for the commentary. Observer notifications
-    // are compiled out of the uninstrumented instantiation.
-    auto issue_shutdown = [&](TimeUs gap_end) {
-        if (low_power_pending) {
-            const TimeUs at = std::max(last_completion, gap_start);
-            if (at < gap_end)
-                disk.enterLowPower(at);
-            low_power_pending = false;
-        }
-        if (shutdown_at < 0)
-            return;
-        const TimeUs at = std::max(shutdown_at, last_completion);
-        if (at >= gap_end || !disk.shutdown(at)) {
-            ++result.ignoredShutdowns;
-            if constexpr (Instrumented)
-                observer_.onShutdownIgnored(at);
-        } else {
-            if constexpr (Instrumented)
-                observer_.onShutdownIssued(at);
-        }
-    };
-
-    auto check_shutdown = [&](TimeUs until) {
-        if (gap_start < 0 || shutdown_at >= 0) {
-            seg_start = until;
-            return;
-        }
-        const pred::ShutdownDecision d = driver.standingDecision();
-        if (d.earliest != kTimeNever) {
-            const TimeUs candidate = std::max(d.earliest, seg_start);
-            if (candidate < until) {
-                shutdown_at = candidate;
-                shutdown_source = d.source;
-                if constexpr (Instrumented)
-                    observer_.onShutdownLatched(candidate, d.source);
-            }
-        }
-        seg_start = until;
-    };
-
-    // The SoA mirror of the merged schedule: the batch loop streams
-    // dense time/kind arrays instead of striding over SimEvent
-    // records.
-    const std::vector<trace::DiskAccess> &accesses = input.accesses;
-    const std::vector<TimeUs> &times = input.eventTimes();
-    const std::vector<std::uint8_t> &kinds = input.eventKinds();
-    const std::vector<Pid> &pids = input.eventPids();
-    const std::vector<std::uint32_t> &access_index =
-        input.eventAccessIndex();
-    const std::vector<std::uint32_t> &blocks = input.accessBlocks();
-    const std::size_t events = times.size();
-    constexpr auto kAccess =
-        static_cast<std::uint8_t>(SimEventKind::Access);
-    constexpr auto kStart =
-        static_cast<std::uint8_t>(SimEventKind::ProcessStart);
-
-    for (std::size_t base = 0; base < events;
-         base += kKernelBatchEvents) {
-        const std::size_t batch_end =
-            std::min(events, base + kKernelBatchEvents);
-        for (std::size_t i = base; i < batch_end; ++i) {
-            const TimeUs time = times[i];
-            if (with_disk)
-                check_shutdown(time);
-            const std::uint8_t kind = kinds[i];
-            if (kind == kAccess) {
-                // Same trace-order substitution as the scalar loop:
-                // the k-th trace access stands in at the k-th access
-                // event, and both sequences are sorted by time, so
-                // times[i] equals the substituted access's time.
-                const std::size_t index =
-                    trace_order ? access_cursor : access_index[i];
-                ++access_cursor;
-                if (with_disk) {
-                    if (gap_start >= 0) {
-                        sink.classify(kMergedStreamPid, gap_start,
-                                      time, shutdown_at,
-                                      shutdown_source);
-                    }
-                    issue_shutdown(time);
-                    last_completion = disk.request(time, blocks[index]);
-                }
-                driver.onAccess(accesses[index], last_completion,
-                                sink);
-                low_power_pending = with_disk && driver.parkLowPower();
-                gap_start = time;
-                seg_start = time;
-                shutdown_at = -1;
-                shutdown_source = pred::DecisionSource::None;
-            } else if (kind == kStart) {
-                driver.processStart(pids[i], time);
-            } else {
-                driver.processExit(pids[i], time, sink);
-            }
-        }
-    }
-
-    if (with_disk) {
-        // Trailing idle period to the end of the execution.
-        check_shutdown(input.endTime);
-        if (gap_start >= 0) {
-            sink.classify(kMergedStreamPid, gap_start, input.endTime,
-                          shutdown_at, shutdown_source);
-            issue_shutdown(input.endTime);
-        }
-    }
-    ReplayTotals totals = finishDisk(disk, input.endTime);
-    totals.batches =
-        (events + kKernelBatchEvents - 1) / kKernelBatchEvents;
-    totals.batchEvents = events;
-    if (with_disk) {
-        result.energy = disk.ledger();
-        result.shutdowns = disk.shutdownCount();
-        result.spinUps = disk.spinUpCount();
-        result.totalSpinUpDelay = disk.totalSpinUpDelay();
-    }
-    driver.endExecution(input, sink);
-    observer_.onExecutionEnd(input, result, totals);
-    return result;
-}
-
-RunResult
-SimulationKernel::runExecutionScalar(const ExecutionInput &input,
-                                     PolicyDriver &driver)
-{
-    driver.beginExecution(input);
-    observer_.onExecutionBegin(input);
-
-    const bool with_disk = driver.usesDisk();
-    const bool trace_order =
-        driver.replayOrder() == ReplayOrder::Trace;
-
-    power::PowerManagedDisk disk(params_.disk, &observer_);
     RunResult result;
     IdleSink sink(params_.breakeven(), result.accuracy, observer_);
 
@@ -295,9 +150,11 @@ SimulationKernel::runExecutionScalar(const ExecutionInput &input,
         const TimeUs at = std::max(shutdown_at, last_completion);
         if (at >= gap_end || !disk.shutdown(at)) {
             ++result.ignoredShutdowns;
-            observer_.onShutdownIgnored(at);
+            if constexpr (Instrumented)
+                observer_.onShutdownIgnored(at);
         } else {
-            observer_.onShutdownIssued(at);
+            if constexpr (Instrumented)
+                observer_.onShutdownIssued(at);
         }
     };
 
@@ -315,7 +172,8 @@ SimulationKernel::runExecutionScalar(const ExecutionInput &input,
             if (candidate < until) {
                 shutdown_at = candidate;
                 shutdown_source = d.source;
-                observer_.onShutdownLatched(candidate, d.source);
+                if constexpr (Instrumented)
+                    observer_.onShutdownLatched(candidate, d.source);
             }
         }
         seg_start = until;

@@ -227,42 +227,24 @@ class PolicyDriver
 };
 
 /**
- * Which replay loop SimulationKernel::runExecution uses. Both walk
- * the same schedule in the same order and produce bit-identical
- * RunResults and observer callback sequences (enforced by the
- * KernelPathParity tests); Scalar exists as the readable reference
- * the batched loop is checked against.
- */
-enum class KernelPath {
-    Batched, ///< SoA batch loop, null-observer fast path (default)
-    Scalar,  ///< per-event loop over the AoS SimEvent schedule
-};
-
-/** Events per batch of the batched replay loop (and the unit of
- * ReplayTotals::batches). */
-constexpr std::size_t kKernelBatchEvents = 256;
-
-/**
  * Replays executions against a driver, owning the disk model, the
  * merged-stream gap state machine and shutdown issuance. Results
  * are bit-identical to the historical per-mode loops.
  *
- * The default Batched path walks the ExecutionInput's SoA event
- * arrays in kKernelBatchEvents-sized batches; when the attached
- * observer takes no per-event callbacks (the shared NullObserver, a
- * MetricsObserver) the whole replay is compiled with per-event
- * instrumentation statically off — no observer virtual calls
- * between onExecutionBegin and onExecutionEnd, no IdlePeriodRecord
- * construction, a disk model without notifications (<3 ns per
- * classified period, see bench_overhead).
+ * There is one replay loop. Whether it notifies the observer per
+ * event is decided by the observer itself: one that takes no
+ * per-event callbacks (the shared NullObserver, a MetricsObserver)
+ * replays with per-event instrumentation compiled out — no observer
+ * virtual calls between onExecutionBegin and onExecutionEnd, no
+ * IdlePeriodRecord construction, a disk model without
+ * notifications (<3 ns per classified period, see bench_overhead).
  */
 class SimulationKernel
 {
   public:
     explicit SimulationKernel(const SimParams &params,
-                              SimObserver &observer = nullObserver(),
-                              KernelPath path = KernelPath::Batched)
-        : params_(params), observer_(observer), path_(path)
+                              SimObserver &observer = nullObserver())
+        : params_(params), observer_(observer)
     {
     }
 
@@ -284,23 +266,16 @@ class SimulationKernel
 
     const SimParams &params() const { return params_; }
 
-    KernelPath path() const { return path_; }
-
   private:
-    /** The batched SoA loop; Instrumented compiles per-event
-     * observer dispatch in or out (chosen once per execution, not
-     * per event). */
+    /** The replay loop; Instrumented compiles per-event observer
+     * dispatch in or out (chosen once per execution, not per
+     * event). */
     template <bool Instrumented>
-    RunResult runExecutionBatched(const ExecutionInput &input,
-                                  PolicyDriver &driver);
-
-    /** The historical per-event reference loop. */
-    RunResult runExecutionScalar(const ExecutionInput &input,
-                                 PolicyDriver &driver);
+    RunResult runExecution(const ExecutionInput &input,
+                           PolicyDriver &driver);
 
     SimParams params_;
     SimObserver &observer_;
-    KernelPath path_;
 };
 
 } // namespace pcap::sim

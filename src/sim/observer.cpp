@@ -376,11 +376,7 @@ MetricsObserver::MetricsObserver(obs::ScopedMetrics scope,
       spinUpDelayUs_(
           scope_.counter("pcap_disk_spin_up_delay_us_total")),
       stateTransitions_(
-          scope_.counter("pcap_disk_state_transitions_total")),
-      batches_(scope_.counter("pcap_sim_kernel_batches_total")),
-      batchEvents_(
-          scope_.counter("pcap_sim_kernel_batch_events_total")),
-      batchFlush_(scope_.timer("pcap_sim_batch_flush_seconds"))
+          scope_.counter("pcap_disk_state_transitions_total"))
 {
     for (std::size_t i = 0; i < idlePeriods_.size(); ++i) {
         idlePeriods_[i] = &scope_.counter(
@@ -408,7 +404,6 @@ MetricsObserver::onExecutionEnd(const ExecutionInput &input,
                                 const ReplayTotals &totals)
 {
     (void)input;
-    const obs::PhaseTimer::Scope lap = batchFlush_.measure();
     executions_.inc();
 
     // Indexed by IdleOutcome. Every classified period is in the
@@ -448,10 +443,6 @@ MetricsObserver::onExecutionEnd(const ExecutionInput &input,
             if (totals.stateUs[i])
                 stateUs_[i]->inc(totals.stateUs[i]);
         }
-    }
-    if (totals.batches) {
-        batches_.inc(totals.batches);
-        batchEvents_.inc(totals.batchEvents);
     }
     for (std::size_t i = 0; i < energy_.size(); ++i) {
         energy_[i]->add(result.energy.get(

@@ -75,7 +75,7 @@ struct IdlePeriodRecord
 };
 
 /**
- * Per-execution totals the kernel keeps on every replay path and
+ * Per-execution totals the kernel keeps on every replay and
  * hands to SimObserver::onExecutionEnd — what an observer that
  * needs only totals reads instead of per-event callbacks.
  */
@@ -90,11 +90,6 @@ struct ReplayTotals
     /** Spin-ups plus low-power head loads (one per
      * onSpinUpServed). */
     std::uint64_t wakeUps = 0;
-    /** kKernelBatchEvents-sized batches of the batched loop and the
-     * events in them; zero on the scalar loop, which has no batch
-     * structure. */
-    std::uint64_t batches = 0;
-    std::uint64_t batchEvents = 0;
 };
 
 /**
@@ -363,7 +358,7 @@ class ProvenanceObserver final : public SimObserver,
  * constructor. The observer takes no per-event callbacks: at
  * onExecutionEnd it reads the execution's totals — outcome counts
  * from AccuracyStats, shutdown and spin-up counts from the
- * RunResult, residency, transitions and batches from ReplayTotals,
+ * RunResult, residency and transitions from ReplayTotals,
  * idle lengths from the tally IdleSink filled — and adds them to
  * the shared atomics once. A kernel observed by it alone replays
  * on the uninstrumented path.
@@ -385,13 +380,8 @@ class MetricsObserver final : public SimObserver
     bool perEventCallbacks() const override { return false; }
     IdleLengthTally *idleLengthTally() override { return &idle_; }
 
-    /**
-     * Add the execution's totals to the shared series and clear the
-     * idle tally. Timed into the pcap_sim_batch_flush_seconds
-     * series: its lap count (one per execution) is deterministic and
-     * diffed by tools/metrics_diff.py, while the seconds part is
-     * wall time and ignored there.
-     */
+    /** Add the execution's totals to the shared series and clear
+     * the idle tally. */
     void onExecutionEnd(const ExecutionInput &input,
                         const RunResult &result,
                         const ReplayTotals &totals) override;
@@ -410,9 +400,6 @@ class MetricsObserver final : public SimObserver
     obs::Counter &spinUpDelayUs_;
     std::array<obs::Counter *, power::kDiskStates> stateUs_;
     obs::Counter &stateTransitions_;
-    obs::Counter &batches_;
-    obs::Counter &batchEvents_;
-    obs::PhaseTimer &batchFlush_;
     /** pcap_energy_joules, indexed by power::EnergyCategory. */
     std::array<obs::Gauge *, 4> energy_;
 };

@@ -7,10 +7,10 @@
  *    bench/reference/BENCH_RESULTS.ref.json line for line.
  *  - Observer ordering: a scripted execution with hand-computable
  *    shutdowns must fire the callbacks in replay order.
- *  - Kernel path parity: the batched SoA loop must match the scalar
- *    reference loop — RunResult, observer callback sequence and
- *    AccuracyStats reconciliation — for every registered policy and
- *    every driver kind.
+ *  - Kernel instrumentation: a null-observer replay must produce
+ *    the same RunResult as a recorded one, and the records must
+ *    reconcile with its AccuracyStats, for every registered policy
+ *    and every driver kind.
  *  - Policy registry: the names resolve, unknown names are rejected.
  *  - JSONL traces: per-idle-period records reconcile with the
  *    AccuracyStats the same run reports.
@@ -33,7 +33,6 @@
 #include "sim/experiment.hpp"
 #include "sim/kernel.hpp"
 #include "sim/observer.hpp"
-#include "sim/simulator.hpp"
 
 namespace pcap::sim {
 namespace {
@@ -403,10 +402,10 @@ TEST(ObserverOrdering, HistogramBoundariesMustAscend)
 }
 
 // ---------------------------------------------------------------
-// Kernel path parity: the batched SoA loop is checked against the
-// scalar reference loop — identical RunResults and identical
-// observer callback sequences for every registered policy and every
-// driver kind.
+// Kernel instrumentation: the observer decides whether a replay runs
+// instrumented; a null observer's RunResult must equal a recording
+// observer's for every registered policy and every driver kind, and
+// the records must reconcile with the run's AccuracyStats.
 // ---------------------------------------------------------------
 
 void
@@ -433,26 +432,6 @@ expectSameResult(const RunResult &a, const RunResult &b,
     EXPECT_EQ(a.spinUps, b.spinUps) << label;
     EXPECT_EQ(a.ignoredShutdowns, b.ignoredShutdowns) << label;
     EXPECT_EQ(a.totalSpinUpDelay, b.totalSpinUpDelay) << label;
-}
-
-void
-expectSameObservations(const RecordingObserver &a,
-                       const RecordingObserver &b,
-                       const std::string &label)
-{
-    EXPECT_EQ(a.events, b.events) << label;
-    ASSERT_EQ(a.records.size(), b.records.size()) << label;
-    for (std::size_t i = 0; i < a.records.size(); ++i) {
-        const IdlePeriodRecord &ra = a.records[i];
-        const IdlePeriodRecord &rb = b.records[i];
-        EXPECT_EQ(ra.pid, rb.pid) << label << " record " << i;
-        EXPECT_EQ(ra.start, rb.start) << label << " record " << i;
-        EXPECT_EQ(ra.end, rb.end) << label << " record " << i;
-        EXPECT_EQ(ra.shutdownAt, rb.shutdownAt)
-            << label << " record " << i;
-        EXPECT_EQ(ra.source, rb.source) << label << " record " << i;
-        EXPECT_EQ(ra.outcome, rb.outcome) << label << " record " << i;
-    }
 }
 
 std::uint64_t
@@ -494,8 +473,8 @@ expectRecordsReconcile(const RecordingObserver &observer,
         << label;
 }
 
-/** Realistic multi-execution inputs: enough events to cross many
- * kKernelBatchEvents boundaries, forks, and real idle structure. */
+/** Realistic multi-execution inputs: thousands of events, forks,
+ * and real idle structure. */
 const std::vector<ExecutionInput> &
 parityInputs()
 {
@@ -507,89 +486,75 @@ parityInputs()
     return eval->inputs("mozilla");
 }
 
-TEST(KernelPathParity, EveryPolicyGlobalReplayMatchesScalar)
+/**
+ * Replay @p inputs uninstrumented (null observer) through
+ * @p plain_driver and recorded through @p observed_driver — two
+ * fresh drivers of the same configuration — and check the two runs
+ * agree.
+ */
+void
+expectInstrumentationInvisible(
+    const std::vector<ExecutionInput> &inputs,
+    PolicyDriver &plain_driver, PolicyDriver &observed_driver,
+    const std::string &label)
 {
-    const std::vector<ExecutionInput> &inputs = parityInputs();
+    RecordingObserver recording;
+    SimulationKernel plain{SimParams{}};
+    SimulationKernel observed(SimParams{}, recording);
+    const RunResult a = plain.run(inputs, plain_driver);
+    const RunResult b = observed.run(inputs, observed_driver);
+    expectSameResult(a, b, label);
+    expectRecordsReconcile(recording, b, label);
+}
+
+TEST(KernelInstrumentation, EveryPolicyGlobalReplayMatches)
+{
+    std::vector<ExecutionInput> inputs = parityInputs();
     ASSERT_FALSE(inputs.empty());
-    std::size_t events = 0;
-    for (const ExecutionInput &input : inputs)
-        events += input.eventTimes().size();
-    ASSERT_GT(events, kKernelBatchEvents)
-        << "parity inputs must cross a batch boundary";
+    inputs.push_back(scriptedInput());
 
     for (const std::string &name : policyNames()) {
-        RecordingObserver scalar_obs, batched_obs;
-        SimulationKernel scalar(SimParams{}, scalar_obs,
-                                KernelPath::Scalar);
-        SimulationKernel batched(SimParams{}, batched_obs,
-                                 KernelPath::Batched);
-        PolicySession scalar_session(policyByName(name));
-        PolicySession batched_session(policyByName(name));
-        GlobalDriver scalar_driver(scalar_session);
-        GlobalDriver batched_driver(batched_session);
-
-        const RunResult a = scalar.run(inputs, scalar_driver);
-        const RunResult b = batched.run(inputs, batched_driver);
-        expectSameResult(a, b, name);
-        expectSameObservations(scalar_obs, batched_obs, name);
-        expectRecordsReconcile(batched_obs, b, name);
-
-        // The uninstrumented batched fast path (compile-time null
-        // observer, notification-free disk) must produce the same
-        // RunResult as the instrumented scalar reference.
-        SimulationKernel fast{SimParams{}};
-        PolicySession fast_session(policyByName(name));
-        GlobalDriver fast_driver(fast_session);
-        const RunResult c = fast.run(inputs, fast_driver);
-        expectSameResult(a, c, name + " (uninstrumented)");
+        PolicySession plain_session(policyByName(name));
+        PolicySession observed_session(policyByName(name));
+        GlobalDriver plain_driver(plain_session);
+        GlobalDriver observed_driver(observed_session);
+        expectInstrumentationInvisible(inputs, plain_driver,
+                                       observed_driver, name);
     }
 }
 
-TEST(KernelPathParity, EveryDriverKindMatchesScalar)
+TEST(KernelInstrumentation, EveryDriverKindMatches)
 {
-    // One representative input set per replay order plus the tiny
-    // scripted execution (shorter than one batch: tail-only path).
     std::vector<ExecutionInput> inputs = parityInputs();
     inputs.push_back(scriptedInput());
-
-    const auto compare = [&](PolicyDriver &scalar_driver,
-                             PolicyDriver &batched_driver,
-                             const std::string &label) {
-        RecordingObserver scalar_obs, batched_obs;
-        SimulationKernel scalar(SimParams{}, scalar_obs,
-                                KernelPath::Scalar);
-        SimulationKernel batched(SimParams{}, batched_obs,
-                                 KernelPath::Batched);
-        const RunResult a = scalar.run(inputs, scalar_driver);
-        const RunResult b = batched.run(inputs, batched_driver);
-        expectSameResult(a, b, label);
-        expectSameObservations(scalar_obs, batched_obs, label);
-        expectRecordsReconcile(batched_obs, b, label);
-    };
 
     {
         PolicySession a(policyByName("PCAP"));
         PolicySession b(policyByName("PCAP"));
-        LocalDriver scalar_driver(a), batched_driver(b);
-        compare(scalar_driver, batched_driver, "local/PCAP");
+        LocalDriver plain_driver(a), observed_driver(b);
+        expectInstrumentationInvisible(inputs, plain_driver,
+                                       observed_driver, "local/PCAP");
     }
     {
         GlobalDriver::Options options;
         options.multiState = true;
         PolicySession a(policyByName("PCAPa"));
         PolicySession b(policyByName("PCAPa"));
-        GlobalDriver scalar_driver(a, options);
-        GlobalDriver batched_driver(b, options);
-        compare(scalar_driver, batched_driver,
-                "global-multistate/PCAPa");
+        GlobalDriver plain_driver(a, options);
+        GlobalDriver observed_driver(b, options);
+        expectInstrumentationInvisible(inputs, plain_driver,
+                                       observed_driver,
+                                       "global-multistate/PCAPa");
     }
     {
-        BaseDriver scalar_driver, batched_driver;
-        compare(scalar_driver, batched_driver, "base");
+        BaseDriver plain_driver, observed_driver;
+        expectInstrumentationInvisible(inputs, plain_driver,
+                                       observed_driver, "base");
     }
     {
-        OracleDriver scalar_driver, batched_driver;
-        compare(scalar_driver, batched_driver, "oracle");
+        OracleDriver plain_driver, observed_driver;
+        expectInstrumentationInvisible(inputs, plain_driver,
+                                       observed_driver, "oracle");
     }
 }
 
@@ -645,10 +610,12 @@ TEST(LocalDriverTest, UnknownPidAccessIsDroppedNotFatal)
 
     PolicySession session_a(policyByName("TP"));
     PolicySession session_b(policyByName("TP"));
-    const SimParams params;
-    const AccuracyStats a = runLocal({clean}, session_a, params);
+    LocalDriver driver_a(session_a);
+    LocalDriver driver_b(session_b);
+    SimulationKernel kernel{SimParams{}};
+    const AccuracyStats a = kernel.run({clean}, driver_a).accuracy;
     testing::internal::CaptureStderr();
-    const AccuracyStats b = runLocal({dirty}, session_b, params);
+    const AccuracyStats b = kernel.run({dirty}, driver_b).accuracy;
     const std::string log = testing::internal::GetCapturedStderr();
 
     EXPECT_NE(log.find("pid 99"), std::string::npos)

@@ -596,7 +596,7 @@ TEST(MetricsKernelPaths, MetricsOnlyEqualsInstrumented)
     for (const char *family :
          {"pcap_sim_idle_periods_total", "pcap_sim_idle_period_us",
           "pcap_disk_state_us_total", "pcap_disk_spin_ups_total",
-          "pcap_energy_joules", "pcap_sim_kernel_batches_total"})
+          "pcap_energy_joules", "pcap_sim_executions_total"})
         EXPECT_EQ(families.count(family), 1u) << family;
     EXPECT_EQ(fast, slow);
 }

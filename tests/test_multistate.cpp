@@ -8,7 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "power/disk.hpp"
-#include "sim/simulator.hpp"
+#include "sim/drivers.hpp"
+#include "sim/kernel.hpp"
 
 namespace pcap {
 namespace {
@@ -122,14 +123,15 @@ TEST(MultiStateRunner, SameAccuracyLessEnergy)
     input.endTime = now;
     input.processes.push_back({100, 0, now});
 
-    sim::SimParams params;
+    sim::SimulationKernel kernel{sim::SimParams{}};
     sim::PolicySession plain(sim::PolicyConfig::pcapBase());
+    sim::GlobalDriver plain_driver(plain);
     const sim::RunResult plain_run =
-        sim::runGlobal({input, input}, plain, params);
+        kernel.run({input, input}, plain_driver);
 
     sim::PolicySession ms(sim::PolicyConfig::pcapBase());
-    const sim::RunResult ms_run =
-        sim::runGlobalMultiState({input, input}, ms, params);
+    sim::GlobalDriver ms_driver(ms, {.multiState = true});
+    const sim::RunResult ms_run = kernel.run({input, input}, ms_driver);
 
     EXPECT_EQ(ms_run.accuracy.hits(), plain_run.accuracy.hits());
     EXPECT_EQ(ms_run.accuracy.misses(),

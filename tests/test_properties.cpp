@@ -16,7 +16,8 @@
 #include "cache/file_cache.hpp"
 #include "core/signature.hpp"
 #include "power/disk.hpp"
-#include "sim/simulator.hpp"
+#include "sim/drivers.hpp"
+#include "sim/kernel.hpp"
 #include "util/rng.hpp"
 
 namespace pcap {
@@ -227,8 +228,9 @@ TEST_P(AccuracyProperty, TalliesBalanceOnRandomStreams)
 
     sim::SimParams params;
     sim::PolicySession session(policyFor(GetParam().label));
+    sim::GlobalDriver driver(session);
     const sim::RunResult result =
-        sim::runGlobal({input}, session, params);
+        sim::SimulationKernel(params).run({input}, driver);
     const sim::AccuracyStats &stats = result.accuracy;
 
     // Hits and not-predicted periods are bounded by opportunities;

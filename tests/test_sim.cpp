@@ -10,9 +10,10 @@
 #include <algorithm>
 
 #include "obs/metrics.hpp"
+#include "sim/drivers.hpp"
 #include "sim/execution_source.hpp"
 #include "sim/input.hpp"
-#include "sim/simulator.hpp"
+#include "sim/kernel.hpp"
 #include "sim/trace_store.hpp"
 #include "trace/builder.hpp"
 #include "workload/app_model.hpp"
@@ -135,9 +136,9 @@ TEST(RunLocal, TimeoutTaxonomyOnScriptedGaps)
         scriptedInput(std::move(accesses), secondsUs(73));
 
     PolicySession session(PolicyConfig::timeoutPolicy());
-    SimParams params;
+    LocalDriver driver(session);
     const AccuracyStats stats =
-        runLocal({input}, session, params);
+        SimulationKernel(SimParams{}).run({input}, driver).accuracy;
 
     EXPECT_EQ(stats.opportunities, 4u);
     EXPECT_EQ(stats.hits(), 2u);
@@ -155,8 +156,9 @@ TEST(RunLocal, FlushDaemonPredictsLikeAnyProcess)
     ExecutionInput input =
         scriptedInput(std::move(accesses), secondsUs(50));
     PolicySession session(PolicyConfig::timeoutPolicy());
-    SimParams params;
-    const AccuracyStats stats = runLocal({input}, session, params);
+    LocalDriver driver(session);
+    const AccuracyStats stats =
+        SimulationKernel(SimParams{}).run({input}, driver).accuracy;
     // 40 s gap (hit) and the 10 s trailing gap, where the 10 s
     // timer expires exactly at the end and never fires.
     EXPECT_EQ(stats.opportunities, 2u);
@@ -175,8 +177,9 @@ TEST(RunGlobal, AccuracyAndEnergyFromOneRun)
         scriptedInput(std::move(accesses), secondsUs(90));
 
     PolicySession session(PolicyConfig::timeoutPolicy());
-    SimParams params;
-    const RunResult result = runGlobal({input}, session, params);
+    GlobalDriver driver(session);
+    const RunResult result =
+        SimulationKernel(SimParams{}).run({input}, driver);
 
     EXPECT_EQ(result.accuracy.opportunities, 3u);
     EXPECT_EQ(result.accuracy.hits(), 3u); // 30 s gaps, 10 s timer
@@ -204,8 +207,9 @@ TEST(RunGlobal, ProcessExitReleasesItsConstraint)
     input.endTime = secondsUs(40);
 
     PolicySession session(PolicyConfig::timeoutPolicy());
-    SimParams params;
-    const RunResult result = runGlobal({input}, session, params);
+    GlobalDriver driver(session);
+    const RunResult result =
+        SimulationKernel(SimParams{}).run({input}, driver);
     // Gap 2..30 s: shutdown at 12 s, off 18 s -> hit. Trailing gap
     // 30..40 s: shutdown at 40... no: timer expires at 40 exactly,
     // not strictly before the end, so it is not predicted.
@@ -219,8 +223,9 @@ TEST(RunBase, NeverShutsDown)
         access(0), access(secondsUs(100))};
     ExecutionInput input =
         scriptedInput(std::move(accesses), secondsUs(120));
-    SimParams params;
-    const RunResult result = runBase({input}, params);
+    BaseDriver driver;
+    const RunResult result =
+        SimulationKernel(SimParams{}).run({input}, driver);
     EXPECT_EQ(result.shutdowns, 0u);
     EXPECT_EQ(result.accuracy.notPredicted,
               result.accuracy.opportunities);
@@ -237,8 +242,9 @@ TEST(RunIdeal, ShutsDownExactlyTheOpportunities)
     };
     ExecutionInput input =
         scriptedInput(std::move(accesses), secondsUs(60));
-    SimParams params;
-    const RunResult result = runIdeal({input}, params);
+    OracleDriver driver;
+    const RunResult result =
+        SimulationKernel(SimParams{}).run({input}, driver);
     EXPECT_EQ(result.accuracy.opportunities, 2u);
     EXPECT_EQ(result.accuracy.hits(), 2u);
     EXPECT_EQ(result.accuracy.misses(), 0u);
@@ -252,14 +258,16 @@ TEST(RunIdeal, NeverWorseThanBaseOrTimeout)
         accesses.push_back(access(secondsUs(i * 17)));
     ExecutionInput input =
         scriptedInput(std::move(accesses), secondsUs(360));
-    SimParams params;
+    SimulationKernel kernel{SimParams{}};
 
-    const double ideal =
-        runIdeal({input}, params).energy.total();
-    const double base = runBase({input}, params).energy.total();
+    OracleDriver oracle;
+    const double ideal = kernel.run({input}, oracle).energy.total();
+    BaseDriver base_driver;
+    const double base =
+        kernel.run({input}, base_driver).energy.total();
     PolicySession session(PolicyConfig::timeoutPolicy());
-    const double tp =
-        runGlobal({input}, session, params).energy.total();
+    GlobalDriver timeout(session);
+    const double tp = kernel.run({input}, timeout).energy.total();
 
     EXPECT_LE(ideal, base);
     EXPECT_LE(ideal, tp);
