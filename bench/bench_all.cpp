@@ -86,14 +86,12 @@ usage(std::ostream &os)
           "                    hosts with full instrumentation into "
           "directory\n"
           "                    P (requires --report fleet)\n"
-          "      --trace-dir P write one per-idle-period JSONL "
-          "trace per\n"
-          "                    simulation cell into directory P\n"
-          "      --provenance-dir P  record prediction provenance "
-          "per policy\n"
-          "                    cell into directory P (binary + "
-          "JSONL; see\n"
-          "                    tools/pcap_explain)\n"
+          "      --provenance-dir P  write one provenance record "
+          "per idle\n"
+          "                    period per cell into directory P "
+          "(.prov.bin;\n"
+          "                    read and render as JSONL with "
+          "tools/pcap_explain)\n"
           "      --timeline-dir P  write a simulated-time timeline "
           "per cell\n"
           "                    into directory P (pcap-timeline-v1 "
@@ -200,7 +198,6 @@ main(int argc, char **argv)
     bool use_metrics = true;
     std::string cache_dir;
     std::string json_path = "BENCH_RESULTS.json";
-    std::string trace_dir;
     std::string provenance_dir;
     std::string timeline_dir;
     std::string trace_profile_path;
@@ -262,8 +259,6 @@ main(int argc, char **argv)
             cache_dir = value("--cache-dir");
         } else if (arg == "--json") {
             json_path = value("--json");
-        } else if (arg == "--trace-dir") {
-            trace_dir = value("--trace-dir");
         } else if (arg == "--provenance-dir") {
             provenance_dir = value("--provenance-dir");
         } else if (arg == "--timeline-dir") {
@@ -396,7 +391,6 @@ main(int argc, char **argv)
                                ? sim::WorkloadCache::defaultDirectory()
                                : cache_dir;
     }
-    options.traceDir = trace_dir;
     options.provenanceDir = provenance_dir;
     options.timelineDir = timeline_dir;
     options.metrics = use_metrics ? &registry : nullptr;

@@ -295,20 +295,48 @@ BM_MetricsRegistryLookup(benchmark::State &state)
 }
 BENCHMARK(BM_MetricsRegistryLookup);
 
-template <bool WithMetrics>
+/** What observes a BM_IdleSinkClassify or BM_KernelReplay run. */
+enum class ReplayObserver {
+    Null,       ///< the shared NullObserver
+    Provenance, ///< a ProvenanceObserver (per-event callbacks)
+    Metrics,    ///< a MetricsObserver (per-execution totals only)
+};
+
+/** One observer of each ReplayObserver kind. */
+struct ReplayObservers
+{
+    explicit ReplayObservers(const sim::SimParams &params)
+        : provenance(recorder, params.disk),
+          metrics(obs::ScopedMetrics(&registry, {{"app", "bm"}}),
+                  params.breakeven())
+    {
+    }
+
+    sim::SimObserver &
+    pick(ReplayObserver kind)
+    {
+        switch (kind) {
+          case ReplayObserver::Provenance: return provenance;
+          case ReplayObserver::Metrics: return metrics;
+          case ReplayObserver::Null: break;
+        }
+        return sim::nullObserver();
+    }
+
+    obs::ProvenanceRecorder recorder; ///< sinkless: a flight recorder
+    sim::ProvenanceObserver provenance;
+    obs::MetricsRegistry registry;
+    sim::MetricsObserver metrics;
+};
+
+template <ReplayObserver Kind>
 void
 BM_IdleSinkClassify(benchmark::State &state)
 {
-    obs::MetricsRegistry registry;
-    obs::ScopedMetrics scope(&registry, {{"app", "bm"}});
     sim::SimParams params;
-    sim::MetricsObserver metrics(scope, params.breakeven());
-    sim::SimObserver &observer =
-        WithMetrics ? static_cast<sim::SimObserver &>(metrics)
-                    : sim::nullObserver();
-
+    ReplayObservers observers(params);
     sim::AccuracyStats stats;
-    sim::IdleSink sink(params.breakeven(), stats, observer);
+    sim::IdleSink sink(params.breakeven(), stats, observers.pick(Kind));
     TimeUs t = 0;
     std::uint64_t i = 0;
     for (auto _ : state) {
@@ -320,16 +348,18 @@ BM_IdleSinkClassify(benchmark::State &state)
     }
     benchmark::DoNotOptimize(stats.opportunities);
 }
-BENCHMARK(BM_IdleSinkClassify<false>)->Name("BM_IdleSinkClassify/null");
-BENCHMARK(BM_IdleSinkClassify<true>)
+BENCHMARK(BM_IdleSinkClassify<ReplayObserver::Null>)
+    ->Name("BM_IdleSinkClassify/null");
+BENCHMARK(BM_IdleSinkClassify<ReplayObserver::Metrics>)
     ->Name("BM_IdleSinkClassify/metrics");
+BENCHMARK(BM_IdleSinkClassify<ReplayObserver::Provenance>)
+    ->Name("BM_IdleSinkClassify/provenance");
 
 /**
- * Provenance flight recorder (PR 5): the raw ring append, and the
- * end-to-end recorder cost per classified idle period — the same
- * sink loop as BM_IdleSinkClassify, but with a ProvenanceObserver
- * attached (sink-less ring, flight-recorder mode). Compare against
- * BM_IdleSinkClassify/null for the per-period tax; the default
+ * Provenance flight recorder: the raw ring append. The end-to-end
+ * recorder cost per classified idle period is
+ * BM_IdleSinkClassify/provenance (sink-less ring, flight-recorder
+ * mode) against BM_IdleSinkClassify/null; the default
  * provenance-off path pays only a null pointer test in the
  * predictor.
  */
@@ -350,34 +380,12 @@ BM_ProvenanceRecorderAppend(benchmark::State &state)
 }
 BENCHMARK(BM_ProvenanceRecorderAppend)->Arg(4096);
 
-void
-BM_IdleSinkClassifyProvenance(benchmark::State &state)
-{
-    sim::SimParams params;
-    obs::ProvenanceRecorder recorder;
-    sim::ProvenanceObserver provenance(recorder, params.disk);
-
-    sim::AccuracyStats stats;
-    sim::IdleSink sink(params.breakeven(), stats, provenance);
-    TimeUs t = 0;
-    std::uint64_t i = 0;
-    for (auto _ : state) {
-        const TimeUs gap =
-            (++i % 3) ? secondsUs(30.0) : millisUs(100.0);
-        sink.classify(0, t, t + gap, (i % 3) ? t + secondsUs(5.0) : -1,
-                      pred::DecisionSource::Primary);
-        t += gap;
-    }
-    benchmark::DoNotOptimize(stats.opportunities);
-}
-BENCHMARK(BM_IdleSinkClassifyProvenance)
-    ->Name("BM_IdleSinkClassify/provenance");
-
 /**
  * The replay kernel: one full execution replayed through
  * SimulationKernel per iteration, with and without an attached
- * observer. An IdleHistogramObserver takes per-event callbacks and
- * replays on the instrumented loop; a MetricsObserver takes none,
+ * observer. A ProvenanceObserver over a sinkless recorder takes
+ * per-event callbacks and replays on the instrumented loop, one
+ * record per classified period; a MetricsObserver takes none,
  * so metrics runs the uninstrumented loop and differs from null
  * only by the idle tally and the per-execution fold. The
  * "per_period" counter is seconds per idle period (displayed with an
@@ -408,13 +416,6 @@ makeReplayInput(std::size_t periods)
     return input;
 }
 
-/** What observes a BM_KernelReplay run. */
-enum class ReplayObserver {
-    Null,      ///< the shared NullObserver
-    Histogram, ///< an IdleHistogramObserver (per-event callbacks)
-    Metrics,   ///< a MetricsObserver (per-execution totals only)
-};
-
 template <ReplayObserver Kind>
 void
 BM_KernelReplay(benchmark::State &state)
@@ -423,20 +424,8 @@ BM_KernelReplay(benchmark::State &state)
         static_cast<std::size_t>(state.range(0));
     const sim::ExecutionInput input = makeReplayInput(periods);
     sim::SimParams params;
-    sim::IdleHistogramObserver histogram(
-        sim::IdleHistogramObserver::defaultBoundaries(
-            params.breakeven()));
-    obs::MetricsRegistry registry;
-    sim::MetricsObserver metrics(
-        obs::ScopedMetrics(&registry, {{"app", "bm"}}),
-        params.breakeven());
-    sim::SimObserver &observer =
-        Kind == ReplayObserver::Histogram
-            ? static_cast<sim::SimObserver &>(histogram)
-        : Kind == ReplayObserver::Metrics
-            ? static_cast<sim::SimObserver &>(metrics)
-            : sim::nullObserver();
-    sim::SimulationKernel kernel(params, observer);
+    ReplayObservers observers(params);
+    sim::SimulationKernel kernel(params, observers.pick(Kind));
     sim::PolicySession session(sim::policyByName("TP"));
     sim::GlobalDriver driver(session);
     for (auto _ : state)
@@ -449,7 +438,7 @@ BM_KernelReplay(benchmark::State &state)
 BENCHMARK(BM_KernelReplay<ReplayObserver::Null>)
     ->Name("BM_KernelReplay/null")
     ->Arg(65536);
-BENCHMARK(BM_KernelReplay<ReplayObserver::Histogram>)
+BENCHMARK(BM_KernelReplay<ReplayObserver::Provenance>)
     ->Name("BM_KernelReplay/observed")
     ->Arg(65536);
 BENCHMARK(BM_KernelReplay<ReplayObserver::Metrics>)
@@ -469,16 +458,15 @@ BM_KernelTraceReplay(benchmark::State &state)
     const sim::ExecutionInput input = sim::ExecutionInput::fromTrace(
         makeTrace("mozilla"), cache::CacheParams{});
     sim::SimParams params;
-    obs::MetricsRegistry registry;
-    sim::MetricsObserver metrics(
-        obs::ScopedMetrics(&registry, {{"app", "bm"}}),
-        params.breakeven());
-    sim::SimulationKernel kernel(
-        params, Kind == ReplayObserver::Metrics
-                    ? static_cast<sim::SimObserver &>(metrics)
-                    : sim::nullObserver());
+    ReplayObservers observers(params);
+    sim::SimulationKernel kernel(params, observers.pick(Kind));
     sim::PolicySession session(sim::policyByName("PCAP"));
     sim::GlobalDriver driver(session);
+    if (Kind == ReplayObserver::Provenance) {
+        session.setProvenanceTap(&observers.provenance);
+        observers.provenance.bindDecisionPid(
+            [&driver] { return driver.decisionPid(); });
+    }
     for (auto _ : state)
         benchmark::DoNotOptimize(kernel.runExecution(input, driver));
     state.counters["per_access"] = benchmark::Counter(
@@ -488,6 +476,8 @@ BM_KernelTraceReplay(benchmark::State &state)
 }
 BENCHMARK(BM_KernelTraceReplay<ReplayObserver::Null>)
     ->Name("BM_KernelTraceReplay/null");
+BENCHMARK(BM_KernelTraceReplay<ReplayObserver::Provenance>)
+    ->Name("BM_KernelTraceReplay/observed");
 BENCHMARK(BM_KernelTraceReplay<ReplayObserver::Metrics>)
     ->Name("BM_KernelTraceReplay/metrics");
 

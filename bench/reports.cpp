@@ -1009,6 +1009,56 @@ bucketLabel(TimeUs upper, TimeUs previous)
     return "<= " + seconds(upper);
 }
 
+/**
+ * Replay global PCAP over @p app with the provenance recorder
+ * attached, draining every classified period's record into
+ * @p sink — the in-memory source of the idle_histogram and
+ * signature_attribution reports.
+ */
+void
+replayGlobalPcap(ReportContext &ctx, const std::string &app,
+                 obs::ProvenanceSink &sink)
+{
+    const sim::SimParams &sim_params = ctx.eval.config().sim;
+    obs::ProvenanceRecorder recorder;
+    recorder.addSink(&sink);
+    sim::ProvenanceObserver observer(recorder, sim_params.disk);
+    sim::SimulationKernel kernel(sim_params, observer);
+    sim::PolicySession session(sim::policyByName("PCAP"));
+    session.setProvenanceTap(&observer);
+    sim::GlobalDriver driver(session);
+    observer.bindDecisionPid(
+        [&driver] { return driver.decisionPid(); });
+    kernel.run(ctx.eval.inputs(app), driver);
+    recorder.close();
+}
+
+/** Idle-length buckets per outcome, folded from provenance
+ * records. */
+class IdleHistogramSink final : public obs::ProvenanceSink
+{
+  public:
+    explicit IdleHistogramSink(const std::vector<TimeUs> &bounds)
+        : byOutcome_(obs::kProvenanceOutcomes,
+                     sim::IdleLengthTally(bounds))
+    {
+    }
+
+    void write(const obs::ProvenanceRecord &record) override
+    {
+        byOutcome_[record.outcome].add(record.lengthUs());
+    }
+
+    /** Periods of outcome code @p outcome in bucket @p bucket. */
+    std::uint64_t count(std::size_t bucket, std::size_t outcome) const
+    {
+        return byOutcome_[outcome].buckets[bucket];
+    }
+
+  private:
+    std::vector<sim::IdleLengthTally> byOutcome_;
+};
+
 void
 reportIdleHistogram(ReportContext &ctx, std::ostream &os)
 {
@@ -1020,45 +1070,36 @@ reportIdleHistogram(ReportContext &ctx, std::ostream &os)
            "opportunities. Opt-in report: run via --only "
            "idle_histogram.");
 
-    const sim::SimParams &sim_params = ctx.eval.config().sim;
-    sim::IdleHistogramObserver observer(
-        sim::IdleHistogramObserver::defaultBoundaries(
-            sim_params.breakeven()));
-    sim::SimulationKernel kernel(sim_params, observer);
-    const sim::PolicyConfig pcap = sim::policyByName("PCAP");
-    for (const std::string &app : ctx.eval.appNames()) {
-        sim::PolicySession session(pcap);
-        sim::GlobalDriver driver(session);
-        kernel.run(ctx.eval.inputs(app), driver);
-    }
+    const std::vector<TimeUs> bounds =
+        sim::idleLengthBounds(ctx.eval.config().sim.breakeven());
+    IdleHistogramSink sink(bounds);
+    for (const std::string &app : ctx.eval.appNames())
+        replayGlobalPcap(ctx, app, sink);
 
     TextTable table;
     table.setHeader({"length", "short", "not-pred", "hit(P)",
                      "hit(B)", "miss(P)", "miss(B)", "total"});
 
-    auto outcomeCount = [](const sim::IdleHistogramObserver::Bucket
-                               &bucket,
-                           sim::IdleOutcome outcome) {
-        return std::to_string(
-            bucket.byOutcome[static_cast<std::size_t>(outcome)]);
-    };
-
+    std::uint64_t periods = 0;
     TimeUs previous = 0;
-    for (const auto &bucket : observer.buckets()) {
-        table.addRow(
-            {bucketLabel(bucket.upper, previous),
-             outcomeCount(bucket, sim::IdleOutcome::Short),
-             outcomeCount(bucket, sim::IdleOutcome::NotPredicted),
-             outcomeCount(bucket, sim::IdleOutcome::HitPrimary),
-             outcomeCount(bucket, sim::IdleOutcome::HitBackup),
-             outcomeCount(bucket, sim::IdleOutcome::MissPrimary),
-             outcomeCount(bucket, sim::IdleOutcome::MissBackup),
-             std::to_string(bucket.total())});
-        previous = bucket.upper;
+    for (std::size_t bucket = 0; bucket <= bounds.size(); ++bucket) {
+        const TimeUs upper =
+            bucket < bounds.size() ? bounds[bucket] : kTimeNever;
+        std::vector<std::string> row = {bucketLabel(upper, previous)};
+        std::uint64_t total = 0;
+        for (std::size_t i = 0; i < obs::kProvenanceOutcomes; ++i) {
+            const std::uint64_t n = sink.count(bucket, i);
+            row.push_back(std::to_string(n));
+            total += n;
+        }
+        row.push_back(std::to_string(total));
+        table.addRow(row);
+        periods += total;
+        previous = upper;
     }
     table.print(os);
 
-    os << "\ntotal idle periods: " << observer.totalPeriods()
+    os << "\ntotal idle periods: " << periods
        << " (all applications, all executions)\n";
 }
 
@@ -1088,8 +1129,6 @@ reportSignatureAttribution(ReportContext &ctx, std::ostream &os)
            "--only signature_attribution.");
 
     constexpr std::size_t kTop = 5;
-    const sim::SimParams &sim_params = ctx.eval.config().sim;
-    const sim::PolicyConfig pcap = sim::policyByName("PCAP");
 
     TextTable table;
     table.setHeader({"app", "signature", "periods", "hits", "misses",
@@ -1099,18 +1138,8 @@ reportSignatureAttribution(ReportContext &ctx, std::ostream &os)
     std::uint64_t total_collisions = 0;
     std::string collision_notes;
     for (const std::string &app : ctx.eval.appNames()) {
-        obs::ProvenanceRecorder recorder;
         obs::ForensicsSink sink;
-        recorder.addSink(&sink);
-        sim::ProvenanceObserver observer(recorder, sim_params.disk);
-        sim::SimulationKernel kernel(sim_params, observer);
-        sim::PolicySession session(pcap);
-        session.setProvenanceTap(&observer);
-        sim::GlobalDriver driver(session);
-        observer.bindDecisionPid(
-            [&driver] { return driver.decisionPid(); });
-        kernel.run(ctx.eval.inputs(app), driver);
-        recorder.close();
+        replayGlobalPcap(ctx, app, sink);
 
         const obs::ProvenanceForensics &forensics = sink.forensics();
         total_records += forensics.records();
@@ -1201,11 +1230,8 @@ drilldownJson(const sim::FleetReport &report, std::uint64_t seed)
                 item["perf"] = obs::perfCountsJson(policy.perf);
             Json &artifacts = item["artifacts"];
             artifacts = Json::object();
-            artifacts["trace"] = policy.stem + ".jsonl";
             artifacts["provenance_binary"] =
                 policy.stem + ".prov.bin";
-            artifacts["provenance_jsonl"] =
-                policy.stem + ".prov.jsonl";
             artifacts["timeline_json"] =
                 policy.stem + ".timeline.json";
             artifacts["timeline_csv"] =

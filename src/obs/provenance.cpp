@@ -178,7 +178,13 @@ decodeRecord(const unsigned char *buffer, std::size_t size,
     record.entryHitsAfter = r.u32();
     record.entryTrainingsAfter = r.u32();
     record.energyDeltaJ = r.f64();
-    return r.ok();
+    // Readers index pathTail by pathTailLength and name tables by
+    // outcome and source, so out-of-range values are rejected here.
+    constexpr std::uint8_t knownFlags =
+        kProvHasDecision | kProvEntryPresent | kProvPredicted;
+    return r.ok() && record.pathTailLength <= kProvenancePathTail &&
+           record.outcome < kProvenanceOutcomes && record.source <= 2 &&
+           (record.flags & ~knownFlags) == 0;
 }
 
 /** Minimal JSON string escaping (the fields we emit are all plain
@@ -349,75 +355,54 @@ BinaryProvenanceWriter::close()
     os_.close();
 }
 
-JsonlProvenanceWriter::JsonlProvenanceWriter(const std::string &path,
-                                             const std::string &cell)
-    : os_(path, std::ios::trunc), path_(path)
-{
-    if (!os_)
-        fatal("JsonlProvenanceWriter: cannot open " + path);
-    os_ << "{\"schema\":\"pcap-provenance-v1\",\"cell\":\""
-        << jsonEscape(cell) << "\",\"path_tail\":"
-        << kProvenancePathTail << "}\n";
-    if (!os_)
-        fatal("JsonlProvenanceWriter: write failed on " + path);
-}
-
 void
-JsonlProvenanceWriter::write(const ProvenanceRecord &record)
+writeProvenanceJsonl(const std::vector<ProvenanceRecord> &records,
+                     const std::string &cell, std::ostream &os)
 {
-    os_ << "{\"start_us\":" << record.startUs
-        << ",\"end_us\":" << record.endUs
-        << ",\"length_us\":" << record.lengthUs()
-        << ",\"outcome\":\"" << provenanceOutcomeName(record.outcome)
-        << "\",\"pid\":" << record.pid
-        << ",\"execution\":" << record.execution
-        << ",\"energy_delta_j\":" << record.energyDeltaJ;
-    if (record.shutdownUs >= 0) {
-        os_ << ",\"shutdown_us\":" << record.shutdownUs
-            << ",\"source\":\""
-            << provenanceSourceName(record.source) << '"';
-    }
-    if (record.hasDecision()) {
-        os_ << ",\"signature\":" << record.signature
-            << ",\"path_hash\":" << record.pathHash
-            << ",\"path_length\":" << record.pathLength
-            << ",\"decision_time_us\":" << record.decisionTimeUs
-            << ",\"decision_earliest_us\":"
-            << record.decisionEarliestUs
-            << ",\"predicted\":"
-            << ((record.flags & kProvPredicted) ? "true" : "false")
-            << ",\"path_tail\":[";
-        for (std::uint8_t i = 0; i < record.pathTailLength; ++i) {
-            if (i)
-                os_ << ',';
-            os_ << record.pathTail[i];
+    os << "{\"schema\":\"pcap-provenance-v1\",\"cell\":\""
+       << jsonEscape(cell) << "\",\"path_tail\":"
+       << kProvenancePathTail << "}\n";
+    for (const ProvenanceRecord &record : records) {
+        os << "{\"start_us\":" << record.startUs
+           << ",\"end_us\":" << record.endUs
+           << ",\"length_us\":" << record.lengthUs()
+           << ",\"outcome\":\""
+           << provenanceOutcomeName(record.outcome)
+           << "\",\"pid\":" << record.pid
+           << ",\"execution\":" << record.execution
+           << ",\"energy_delta_j\":" << record.energyDeltaJ;
+        if (record.shutdownUs >= 0) {
+            os << ",\"shutdown_us\":" << record.shutdownUs
+               << ",\"source\":\""
+               << provenanceSourceName(record.source) << '"';
         }
-        os_ << ']';
-        if (record.flags & kProvEntryPresent) {
-            os_ << ",\"entry\":{\"hits_before\":"
-                << record.entryHitsBefore
-                << ",\"trainings_before\":"
-                << record.entryTrainingsBefore
-                << ",\"hits_after\":" << record.entryHitsAfter
-                << ",\"trainings_after\":"
-                << record.entryTrainingsAfter << '}';
+        if (record.hasDecision()) {
+            os << ",\"signature\":" << record.signature
+               << ",\"path_hash\":" << record.pathHash
+               << ",\"path_length\":" << record.pathLength
+               << ",\"decision_time_us\":" << record.decisionTimeUs
+               << ",\"decision_earliest_us\":"
+               << record.decisionEarliestUs << ",\"predicted\":"
+               << ((record.flags & kProvPredicted) ? "true" : "false")
+               << ",\"path_tail\":[";
+            for (std::uint8_t i = 0; i < record.pathTailLength; ++i) {
+                if (i)
+                    os << ',';
+                os << record.pathTail[i];
+            }
+            os << ']';
+            if (record.flags & kProvEntryPresent) {
+                os << ",\"entry\":{\"hits_before\":"
+                   << record.entryHitsBefore
+                   << ",\"trainings_before\":"
+                   << record.entryTrainingsBefore
+                   << ",\"hits_after\":" << record.entryHitsAfter
+                   << ",\"trainings_after\":"
+                   << record.entryTrainingsAfter << '}';
+            }
         }
+        os << "}\n";
     }
-    os_ << "}\n";
-    if (!os_)
-        fatal("JsonlProvenanceWriter: write failed on " + path_);
-    ++records_;
-}
-
-void
-JsonlProvenanceWriter::close()
-{
-    if (!os_.is_open())
-        return;
-    os_.flush();
-    if (!os_)
-        fatal("JsonlProvenanceWriter: flush failed on " + path_);
-    os_.close();
 }
 
 std::string

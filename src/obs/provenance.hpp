@@ -6,11 +6,13 @@
  * miss"; this layer answers "which signature, formed by which PC
  * path, over which table entry, missed — and what did it cost". One
  * ProvenanceRecord captures the full causal chain behind one
- * classified idle period. Records are buffered in a bounded ring
+ * classified idle period, and it is the only per-period record the
+ * simulator writes. Records are buffered in a bounded ring
  * (flight-recorder semantics: without sinks the oldest records are
  * overwritten; with sinks the ring drains into them so nothing is
- * lost) and serialized to a compact fixed-size binary format plus a
- * JSONL mirror (schema pcap-provenance-v1).
+ * lost) and serialized to a compact fixed-size binary format
+ * (.prov.bin). The JSONL view (schema pcap-provenance-v1) is
+ * rendered from records on demand (writeProvenanceJsonl).
  *
  * This layer is deliberately self-contained: records use plain
  * scalar types only, so obs stays below core/sim in the dependency
@@ -164,7 +166,7 @@ class ProvenanceRecorder
 /**
  * Compact binary sink: an 16-byte header (magic "PCAPPROV",
  * version, record size) followed by fixed-size little-endian
- * records. ~124 bytes/record vs ~400 for the JSONL mirror.
+ * records. ~124 bytes/record vs ~400 for the JSONL rendering.
  */
 class BinaryProvenanceWriter final : public ProvenanceSink
 {
@@ -184,30 +186,19 @@ class BinaryProvenanceWriter final : public ProvenanceSink
 };
 
 /**
- * JSONL sink, schema pcap-provenance-v1: a header line
- * {"schema":"pcap-provenance-v1","cell":...} followed by one record
- * object per line (see EXPERIMENTS.md for the field reference).
+ * Render @p records as JSONL, schema pcap-provenance-v1: a header
+ * line {"schema":"pcap-provenance-v1","cell":...} followed by one
+ * record object per line (see EXPERIMENTS.md for the field
+ * reference). @p cell names the producing simulation cell — by
+ * convention the .prov.bin file name without its extension.
  */
-class JsonlProvenanceWriter final : public ProvenanceSink
-{
-  public:
-    /** @p cell names the producing simulation cell in the header. */
-    JsonlProvenanceWriter(const std::string &path,
-                          const std::string &cell);
-
-    void write(const ProvenanceRecord &record) override;
-    void close() override;
-
-    std::uint64_t recordCount() const { return records_; }
-
-  private:
-    std::ofstream os_;
-    std::string path_;
-    std::uint64_t records_ = 0;
-};
+void writeProvenanceJsonl(const std::vector<ProvenanceRecord> &records,
+                          const std::string &cell, std::ostream &os);
 
 /**
- * Read back a binary provenance file.
+ * Read back a binary provenance file. A record whose path tail is
+ * longer than kProvenancePathTail, or whose outcome, source or flags
+ * hold a value no writer produces, is malformed.
  * @return empty string on success, else a diagnostic.
  */
 std::string readProvenanceFile(const std::string &path,

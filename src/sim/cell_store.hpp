@@ -15,9 +15,9 @@
  * idiom of TraceStore: thread-safe, compute-once, immutable values.
  *
  * A store hit skips the replay — and with it the cell's metric,
- * trace and provenance side effects. ParallelEvaluation therefore
+ * provenance and timeline side effects. ParallelEvaluation therefore
  * bypasses the store whenever per-cell artifacts were requested
- * (traceDir/provenanceDir); plain metric registries accept that a
+ * (provenanceDir/timelineDir); plain metric registries accept that a
  * reused cell records its series only in the engine that computed it.
  */
 

@@ -20,6 +20,7 @@
 #ifndef PCAP_SIM_EXPERIMENT_HPP
 #define PCAP_SIM_EXPERIMENT_HPP
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -38,6 +39,7 @@ namespace pcap::sim {
 struct Cell;
 class TraceStore;
 class CellStore;
+class GlobalDriver;
 
 /** Configuration of a whole evaluation. */
 struct ExperimentConfig
@@ -226,19 +228,13 @@ struct ParallelOptions
     std::string cacheDir;
 
     /**
-     * When non-empty, every simulation cell writes a per-idle-period
-     * JSONL trace into this directory (created if needed), one file
-     * per (mode, app, policy) cell. Empty disables tracing.
-     */
-    std::string traceDir;
-
-    /**
-     * When non-empty, every policy cell runs with the provenance
-     * flight recorder attached and serializes its records into this
-     * directory (created if needed): a compact binary file plus a
-     * pcap-provenance-v1 JSONL mirror per (mode, app, policy) cell,
-     * named <mode>-<app>-<label>-<hash>.prov.{bin,jsonl}. Empty
-     * disables provenance entirely (the default path is untouched).
+     * When non-empty, every simulation cell runs with the provenance
+     * flight recorder attached and writes one record per classified
+     * idle period into this directory (created if needed), one
+     * binary file per cell named <stem>.prov.bin (see cellFileStem;
+     * base and ideal cells have no policy part and no decisions).
+     * pcap_explain --jsonl renders them as JSONL. Empty disables
+     * provenance entirely (the default path is untouched).
      */
     std::string provenanceDir;
 
@@ -276,10 +272,9 @@ struct ParallelOptions
      * compute cells privately. Engines over an *identical* config
      * then replay each (mode, app, policy) cell once between them —
      * the keys embed the full canonical config string, so distinct
-     * configurations never collide. Ignored while traceDir,
-     * provenanceDir or timelineDir is set: a store hit skips the
-     * replay and with it the cell's file artifacts, which those
-     * options promise.
+     * configurations never collide. Ignored while provenanceDir or
+     * timelineDir is set: a store hit skips the replay and with it
+     * the cell's file artifacts, which those options promise.
      */
     std::shared_ptr<CellStore> cellStore;
 };
@@ -363,6 +358,21 @@ class ParallelEvaluation : public EvaluationApi
     slot(std::map<std::string, std::shared_ptr<Memo<T>>> &map,
          const std::string &key);
 
+    /**
+     * The memoized value of one cell: @p compute runs once per
+     * engine and @p memoKey, or once per process through the shared
+     * CellStore (@p shared, keyed by mode, app and policy) when
+     * cellStoreUsable().
+     */
+    template <typename T, typename Compute>
+    const T &
+    memoCell(std::map<std::string, std::shared_ptr<Memo<T>>> &map,
+             const std::string &memoKey,
+             T (CellStore::*shared)(const std::string &,
+                                    const std::function<T()> &),
+             const char *mode, const std::string &app,
+             const PolicyConfig *policy, Compute compute);
+
     void computeCell(const Cell &cell);
 
     /**
@@ -373,25 +383,21 @@ class ParallelEvaluation : public EvaluationApi
     std::string cellFileStem(const char *mode, const std::string &app,
                              const PolicyConfig *policy) const;
 
-    /** The JSONL observer of one cell, or null when tracing is
-     * off. */
-    std::unique_ptr<SimObserver>
-    traceObserver(const char *mode, const std::string &app,
-                  const PolicyConfig *policy) const;
-
-    /** The tracing + metrics observers of one cell, assembled. */
-    struct CellInstruments;
-
     /**
-     * Build one cell's observer stack: the JSONL tracer (when
-     * tracing is on), a MetricsObserver (when a registry is
-     * attached), both behind a tee, or the shared NullObserver.
-     * @p trackDisk is false for diskless (local-accuracy) replays.
+     * Replay one cell of @p app under @p driver: its span and perf
+     * region, its observers — a MetricsObserver when a registry is
+     * attached, the cell's CellRecording when provenance or
+     * timelines are on — the kernel run under the
+     * pcap_cell_wall_seconds lap, then the recording's files and
+     * (with a @p session) the session metrics. The recording binds
+     * to @p session and, when given, to @p global for merged-stream
+     * attribution.
      */
-    CellInstruments instrument(const char *mode,
-                               const std::string &app,
-                               const PolicyConfig *policy,
-                               bool trackDisk) const;
+    RunResult replayCell(const char *mode, const std::string &app,
+                         const PolicyConfig *policy,
+                         PolicyDriver &driver,
+                         PolicySession *session = nullptr,
+                         const GlobalDriver *global = nullptr);
 
     /** Scope labelled {config, mode, app[, policy, policy_hash]};
      * disabled when no registry is attached. */

@@ -11,9 +11,8 @@
 #include <utility>
 
 #include "obs/alerts.hpp"
-#include "obs/provenance.hpp"
-#include "obs/timeline.hpp"
 #include "obs/tracing.hpp"
+#include "sim/cell_recording.hpp"
 #include "sim/drivers.hpp"
 #include "sim/execution_source.hpp"
 #include "sim/experiment.hpp"
@@ -373,9 +372,10 @@ FleetDriver::drillHost(const workload::HostProfile &profile,
     drill.seed = profile.seed;
     drill.thinkTimeScale = profile.thinkTimeScale;
 
-    /** One policy's fully-instrumented cell: the same observer
-     * stack ParallelEvaluation::instrument assembles, bound to the
-     * host cell's persistent session. Fields initialize in
+    const std::string app = appMixLabel(profile);
+
+    /** One policy's fully-instrumented cell: a CellRecording bound
+     * to the host cell's persistent session. Fields initialize in
      * declaration order — the tee and kernel come last because they
      * hold references into the earlier members. */
     struct DrillCell
@@ -383,33 +383,23 @@ FleetDriver::drillHost(const workload::HostProfile &profile,
         std::string stem;
         PolicySession session;
         GlobalDriver driver;
-        JsonlTraceObserver trace;
-        obs::ProvenanceRecorder provRecorder;
-        obs::BinaryProvenanceWriter provBinary;
-        obs::JsonlProvenanceWriter provJsonl;
-        ProvenanceObserver provenance;
-        TimelineObserver timeline;
+        CellRecording recording;
         TeeObserver tee;
         SimulationKernel kernel;
 
-        DrillCell(std::string cellStem, const PolicyConfig &policy,
-                  const SimParams &sim, const std::string &dir)
+        DrillCell(std::string cellStem, const std::string &app,
+                  const PolicyConfig &policy, const SimParams &sim,
+                  const std::string &dir)
             : stem(std::move(cellStem)), session(policy),
-              driver(session), trace(dir + "/" + stem + ".jsonl"),
-              provBinary(dir + "/" + stem + ".prov.bin"),
-              provJsonl(dir + "/" + stem + ".prov.jsonl", stem),
-              provenance(provRecorder, sim.disk),
-              timeline(sim.disk),
-              tee({&trace, &provenance, &timeline}),
-              kernel(sim, tee)
+              driver(session),
+              recording(sim.disk, /*trackDisk=*/true,
+                        TimelineObserver::makeMeta(stem, "fleet", app,
+                                                   policy.label),
+                        dir, dir),
+              tee(recording.observers()), kernel(sim, tee)
         {
-            provRecorder.addSink(&provBinary);
-            provRecorder.addSink(&provJsonl);
-            session.setProvenanceTap(&provenance);
-            provenance.bindDecisionPid(
-                [this] { return driver.decisionPid(); });
-            timeline.bindTableSize(
-                [this] { return session.tableEntries(); });
+            recording.bindSession(session);
+            recording.bindDriver(driver);
         }
     };
 
@@ -419,7 +409,7 @@ FleetDriver::drillHost(const workload::HostProfile &profile,
         cells.emplace_back("host" + std::to_string(profile.host) +
                                "-" + policy.label + "-" +
                                policyHashLabel(policy),
-                           policy, sim_, dir);
+                           app, policy, sim_, dir);
     }
     BaseDriver base;
     SimulationKernel baseKernel(sim_); // uninstrumented baseline
@@ -446,18 +436,9 @@ FleetDriver::drillHost(const workload::HostProfile &profile,
     }
     drill.baseEnergyJ = baseRun.energy.total();
 
-    const std::string app = appMixLabel(profile);
     for (std::size_t p = 0; p < policies.size(); ++p) {
         DrillCell &cell = cells[p];
-        cell.provRecorder.close();
-        const obs::TimelineMeta meta = TimelineObserver::makeMeta(
-            cell.stem, "fleet", app, policies[p].label);
-        obs::writeTimelineJson(cell.timeline.timeline(), meta,
-                               dir + "/" + cell.stem +
-                                   ".timeline.json");
-        obs::writeTimelineCsv(cell.timeline.timeline(), meta,
-                              dir + "/" + cell.stem +
-                                  ".timeline.csv");
+        cell.recording.finish();
 
         DrilldownPolicy summary;
         summary.policy = policies[p].label;

@@ -29,6 +29,19 @@ nullObserver()
     return observer;
 }
 
+std::vector<TimeUs>
+idleLengthBounds(TimeUs breakeven)
+{
+    std::vector<TimeUs> bounds = {
+        millisUs(10.0),  millisUs(100.0), secondsUs(1.0),
+        breakeven,       secondsUs(10.0), secondsUs(30.0),
+        secondsUs(60.0), secondsUs(300.0)};
+    std::sort(bounds.begin(), bounds.end());
+    bounds.erase(std::unique(bounds.begin(), bounds.end()),
+                 bounds.end());
+    return bounds;
+}
+
 IdleLengthTally::IdleLengthTally(std::vector<TimeUs> bounds)
     : uppers(std::move(bounds)), buckets(uppers.size() + 1, 0)
 {
@@ -50,64 +63,6 @@ IdleLengthTally::clear()
 {
     std::fill(buckets.begin(), buckets.end(), 0);
     sumUs = 0;
-}
-
-// ---------------------------------------------------------------
-// JsonlTraceObserver
-// ---------------------------------------------------------------
-
-JsonlTraceObserver::JsonlTraceObserver(const std::string &path)
-    : os_(path), path_(path)
-{
-    if (!os_)
-        fatal("JsonlTraceObserver: cannot write " + path);
-}
-
-void
-JsonlTraceObserver::onExecutionBegin(const ExecutionInput &input)
-{
-    app_ = input.app;
-    execution_ = input.execution;
-}
-
-void
-JsonlTraceObserver::onExecutionEnd(const ExecutionInput &input,
-                                   const RunResult &result,
-                                   const ReplayTotals &totals)
-{
-    (void)input;
-    (void)result;
-    (void)totals;
-    // Push buffered records to the OS now so a full disk or revoked
-    // permission surfaces here, attributed to the file — not as a
-    // silently truncated trace discovered days later.
-    os_.flush();
-    if (!os_) {
-        fatal("JsonlTraceObserver: write failed on " + path_ +
-              " after " + std::to_string(records_) + " records");
-    }
-}
-
-void
-JsonlTraceObserver::onIdlePeriod(const IdlePeriodRecord &record)
-{
-    // App names are plain identifiers, so no string escaping is
-    // needed for a valid JSON line.
-    os_ << "{\"app\":\"" << app_
-        << "\",\"execution\":" << execution_
-        << ",\"pid\":" << record.pid
-        << ",\"start_us\":" << record.start
-        << ",\"end_us\":" << record.end
-        << ",\"length_us\":" << record.length()
-        << ",\"shutdown_us\":" << record.shutdownAt
-        << ",\"source\":\"" << pred::decisionSourceName(record.source)
-        << "\",\"outcome\":\"" << idleOutcomeName(record.outcome)
-        << "\"}\n";
-    if (!os_) {
-        fatal("JsonlTraceObserver: write failed on " + path_ +
-              " after " + std::to_string(records_) + " records");
-    }
-    ++records_;
 }
 
 // ---------------------------------------------------------------
@@ -226,22 +181,6 @@ ProvenanceObserver::onPcapDecision(Pid pid,
 }
 
 void
-ProvenanceObserver::onPcapTraining(Pid pid,
-                                   const core::PcapTrainEvent &event)
-{
-    (void)pid;
-    (void)event;
-    ++trainings_;
-}
-
-void
-ProvenanceObserver::onTableEviction(const core::TableKey &key)
-{
-    (void)key;
-    ++evictions_;
-}
-
-void
 ProvenanceObserver::onShutdownLatched(TimeUs at,
                                       pred::DecisionSource source)
 {
@@ -338,31 +277,10 @@ ProvenanceObserver::onIdlePeriod(const IdlePeriodRecord &record)
 // MetricsObserver
 // ---------------------------------------------------------------
 
-namespace {
-
-/**
- * Idle-length bucket bounds in simulated µs, matching
- * IdleHistogramObserver::defaultBoundaries. Sorted and deduplicated
- * because an ablated breakeven may coincide with (or cross) the
- * fixed decades.
- */
-std::vector<TimeUs>
-idleLengthUppers(TimeUs breakeven)
-{
-    std::vector<TimeUs> uppers =
-        IdleHistogramObserver::defaultBoundaries(breakeven);
-    std::sort(uppers.begin(), uppers.end());
-    uppers.erase(std::unique(uppers.begin(), uppers.end()),
-                 uppers.end());
-    return uppers;
-}
-
-} // namespace
-
 MetricsObserver::MetricsObserver(obs::ScopedMetrics scope,
                                  TimeUs breakeven, bool trackDisk)
     : scope_(std::move(scope)), trackDisk_(trackDisk),
-      idle_(idleLengthUppers(breakeven)),
+      idle_(idleLengthBounds(breakeven)),
       executions_(scope_.counter("pcap_sim_executions_total")),
       // The tally's µs bounds as doubles (exact, far below 2^53).
       idleLength_(scope_.histogram(
@@ -605,57 +523,6 @@ TimelineObserver::onSpinUpServed(TimeUs time, TimeUs delay)
 {
     (void)delay;
     timeline_.countSpinUp(offset_ + time);
-}
-
-// ---------------------------------------------------------------
-// IdleHistogramObserver
-// ---------------------------------------------------------------
-
-std::uint64_t
-IdleHistogramObserver::Bucket::total() const
-{
-    std::uint64_t sum = 0;
-    for (std::uint64_t count : byOutcome)
-        sum += count;
-    return sum;
-}
-
-IdleHistogramObserver::IdleHistogramObserver(
-    std::vector<TimeUs> boundaries)
-{
-    TimeUs previous = -1;
-    for (TimeUs upper : boundaries) {
-        if (upper <= previous) {
-            fatal("IdleHistogramObserver: boundaries must be "
-                  "strictly ascending");
-        }
-        previous = upper;
-        Bucket bucket;
-        bucket.upper = upper;
-        buckets_.push_back(bucket);
-    }
-    buckets_.push_back(Bucket{}); // open top bucket
-}
-
-std::vector<TimeUs>
-IdleHistogramObserver::defaultBoundaries(TimeUs breakeven)
-{
-    return {millisUs(10.0),  millisUs(100.0), secondsUs(1.0),
-            breakeven,       secondsUs(10.0), secondsUs(30.0),
-            secondsUs(60.0), secondsUs(300.0)};
-}
-
-void
-IdleHistogramObserver::onIdlePeriod(const IdlePeriodRecord &record)
-{
-    const TimeUs length = record.length();
-    std::size_t index = 0;
-    while (index + 1 < buckets_.size() &&
-           length > buckets_[index].upper)
-        ++index;
-    ++buckets_[index]
-          .byOutcome[static_cast<std::size_t>(record.outcome)];
-    ++periods_;
 }
 
 } // namespace pcap::sim

@@ -7,8 +7,8 @@
  * spin-up services) with replay-level callbacks: execution
  * boundaries, classified idle periods, and shutdown orders
  * issued/ignored. Observers never influence the simulation — the
- * kernel produces bit-identical results whether a NullObserver, a
- * JSONL tracer or a histogram collector is attached. An observer
+ * kernel produces bit-identical results whether a NullObserver or
+ * the provenance recorder is attached. An observer
  * that needs only per-execution totals (MetricsObserver) opts out
  * of the per-event callbacks, and the kernel then replays on its
  * uninstrumented path.
@@ -19,7 +19,6 @@
 
 #include <array>
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <string>
 #include <unordered_map>
@@ -70,8 +69,6 @@ struct IdlePeriodRecord
     /** Attribution of the shutdown (None when no shutdown fired). */
     pred::DecisionSource source = pred::DecisionSource::None;
     IdleOutcome outcome = IdleOutcome::Short;
-
-    TimeUs length() const { return end - start; }
 };
 
 /**
@@ -133,6 +130,15 @@ struct IdleLengthTally
     std::vector<std::uint64_t> buckets; ///< overflow last
     TimeUs sumUs = 0;
 };
+
+/**
+ * The idle-length bucket bounds of the pcap_sim_idle_period_us
+ * histogram and the idle_histogram report, in simulated µs:
+ * sub-second decades, @p breakeven, and a coarse tail. Sorted and
+ * deduplicated, because an ablated breakeven may coincide with (or
+ * cross) the fixed decades.
+ */
+std::vector<TimeUs> idleLengthBounds(TimeUs breakeven);
 
 /**
  * Hook interface of the replay kernel. All callbacks default to
@@ -210,38 +216,8 @@ class NullObserver final : public SimObserver
 SimObserver &nullObserver();
 
 /**
- * Streams one JSON object per classified idle period to a file —
- * the bench_all --trace-dir format. One record per line:
- *
- * {"app":"mozilla","execution":3,"pid":-1,"start_us":..,"end_us":..,
- *  "length_us":..,"shutdown_us":-1,"source":"none","outcome":"short"}
- */
-class JsonlTraceObserver final : public SimObserver
-{
-  public:
-    /** Opens @p path for writing; fatal() when that fails. */
-    explicit JsonlTraceObserver(const std::string &path);
-
-    void onExecutionBegin(const ExecutionInput &input) override;
-    void onExecutionEnd(const ExecutionInput &input,
-                        const RunResult &result,
-                        const ReplayTotals &totals) override;
-    void onIdlePeriod(const IdlePeriodRecord &record) override;
-
-    /** Idle-period records written so far. */
-    std::uint64_t recordCount() const { return records_; }
-
-  private:
-    std::ofstream os_;
-    std::string path_;
-    std::string app_;
-    int execution_ = -1;
-    std::uint64_t records_ = 0;
-};
-
-/**
  * Fans every callback out to a list of observers, in order — e.g. a
- * JSONL tracer plus a metrics collector on the same run. It needs
+ * provenance recorder plus a metrics collector on the same run. It needs
  * per-event callbacks when any child does, and passes on the idle
  * tally of the one child that keeps one. Null entries, and two
  * children with idle tallies, are rejected; the observers must
@@ -311,18 +287,9 @@ class ProvenanceObserver final : public SimObserver,
     void onShutdownLatched(TimeUs at,
                            pred::DecisionSource source) override;
 
-    // core::ProvenanceTap hooks
+    // core::ProvenanceTap hook
     void onPcapDecision(Pid pid,
                         const core::PcapDecisionEvent &event) override;
-    void onPcapTraining(Pid pid,
-                        const core::PcapTrainEvent &event) override;
-    void onTableEviction(const core::TableKey &key) override;
-
-    /** Training events seen (table insertions and refreshes). */
-    std::uint64_t trainingCount() const { return trainings_; }
-
-    /** LRU evictions reported by the prediction table. */
-    std::uint64_t evictionCount() const { return evictions_; }
 
   private:
     /** Copy a decision event's evidence into @p out. */
@@ -343,8 +310,6 @@ class ProvenanceObserver final : public SimObserver,
 
     std::int32_t execution_ = 0;
     TimeUs execEnd_ = 0;
-    std::uint64_t trainings_ = 0;
-    std::uint64_t evictions_ = 0;
 };
 
 /**
@@ -368,8 +333,8 @@ class MetricsObserver final : public SimObserver
   public:
     /**
      * @param scope     Cell-scoped handle (labels identify the run).
-     * @param breakeven Histogram boundary anchor; the idle-length
-     *                  buckets match IdleHistogramObserver's.
+     * @param breakeven Histogram boundary anchor (see
+     *                  idleLengthBounds).
      * @param trackDisk False for diskless replays (local accuracy),
      *                  whose executions would otherwise read as one
      *                  long Idle residency.
@@ -472,47 +437,6 @@ class TimelineObserver final : public SimObserver
     TimeUs offset_ = 0; ///< summed end times of prior executions
     power::DiskState lastState_ = power::DiskState::Idle;
     TimeUs lastChange_ = 0;
-};
-
-/**
- * Accumulates the idle-length distribution, bucketed by period
- * length and broken down by outcome — the idle_histogram report.
- */
-class IdleHistogramObserver final : public SimObserver
-{
-  public:
-    static constexpr std::size_t kOutcomes = 6;
-
-    struct Bucket
-    {
-        /** Inclusive upper bound of the bucket (µs); kTimeNever for
-         * the final open bucket. */
-        TimeUs upper = kTimeNever;
-        std::array<std::uint64_t, kOutcomes> byOutcome{};
-
-        std::uint64_t total() const;
-    };
-
-    /**
-     * @p boundaries: strictly ascending inclusive upper bounds; an
-     * open top bucket is appended automatically.
-     */
-    explicit IdleHistogramObserver(std::vector<TimeUs> boundaries);
-
-    /** The standard boundaries used by the idle_histogram report:
-     * sub-second decades, the breakeven time, and coarse tail. */
-    static std::vector<TimeUs> defaultBoundaries(TimeUs breakeven);
-
-    void onIdlePeriod(const IdlePeriodRecord &record) override;
-
-    const std::vector<Bucket> &buckets() const { return buckets_; }
-
-    /** Total periods observed across all buckets. */
-    std::uint64_t totalPeriods() const { return periods_; }
-
-  private:
-    std::vector<Bucket> buckets_;
-    std::uint64_t periods_ = 0;
 };
 
 } // namespace pcap::sim

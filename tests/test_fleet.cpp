@@ -20,6 +20,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -586,8 +587,7 @@ drillFleetConfig()
 }
 
 constexpr const char *kDrillExtensions[] = {
-    ".jsonl", ".prov.bin", ".prov.jsonl", ".timeline.json",
-    ".timeline.csv"};
+    ".prov.bin", ".timeline.json", ".timeline.csv"};
 
 TEST(FleetDrilldown, ReRunMatchesPassOneAndStandaloneDrill)
 {
@@ -649,6 +649,12 @@ TEST(FleetDrilldown, ReRunMatchesPassOneAndStandaloneDrill)
 
     EXPECT_EQ(solo.host, first.host);
     ASSERT_EQ(solo.policies.size(), first.policies.size());
+    // The bundle is exactly these artifacts: no JSONL rides along.
+    const auto files = std::distance(
+        std::filesystem::directory_iterator(standaloneDir.path),
+        std::filesystem::directory_iterator());
+    EXPECT_EQ(static_cast<std::size_t>(files),
+              solo.policies.size() * std::size(kDrillExtensions));
     for (std::size_t p = 0; p < first.policies.size(); ++p) {
         EXPECT_EQ(solo.policies[p].stem, first.policies[p].stem);
         for (const char *ext : kDrillExtensions) {

@@ -1,25 +1,22 @@
 /**
  * @file
  * Observer-layer tests: TeeObserver fan-out semantics (ordering and
- * exception propagation across 3+ children) and exhaustiveness of
+ * exception propagation across 3+ children), exhaustiveness of
  * the per-outcome instrumentation — every IdleOutcome value must be
  * handled by MetricsObserver (through the sink's tallies) and
- * JsonlTraceObserver.
+ * ProvenanceObserver — and the shared idle-length bucket bounds.
  */
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/provenance.hpp"
 #include "sim/kernel.hpp"
 #include "sim/observer.hpp"
 
@@ -212,38 +209,49 @@ TEST(MetricsObserver, HandlesEveryIdleOutcome)
               6u);
 }
 
-TEST(JsonlTraceObserver, HandlesEveryIdleOutcome)
+TEST(ProvenanceObserver, HandlesEveryIdleOutcome)
 {
-    const std::string path =
-        (std::filesystem::temp_directory_path() /
-         ("pcap-test-observer-" + std::to_string(::getpid()) +
-          ".jsonl"))
-            .string();
+    obs::ProvenanceRecorder recorder; // sinkless: keeps a snapshot
+    ProvenanceObserver observer(recorder, power::DiskParams{});
+    ExecutionInput input;
+    input.app = "t";
+    input.execution = 3;
+    observer.onExecutionBegin(input);
+    const std::vector<IdlePeriodRecord> periods = oneRecordPerOutcome();
+    for (const IdlePeriodRecord &record : periods)
+        observer.onIdlePeriod(record);
 
-    {
-        JsonlTraceObserver observer(path);
-        ExecutionInput input;
-        input.app = "t";
-        observer.onExecutionBegin(input);
-        for (const IdlePeriodRecord &record : oneRecordPerOutcome())
-            observer.onIdlePeriod(record);
-        observer.onExecutionEnd(input, RunResult{}, {});
-        EXPECT_EQ(observer.recordCount(), 6u);
+    const std::vector<obs::ProvenanceRecord> records =
+        recorder.snapshot();
+    ASSERT_EQ(records.size(), periods.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        EXPECT_STREQ(obs::provenanceOutcomeName(records[i].outcome),
+                     idleOutcomeName(periods[i].outcome));
+        EXPECT_EQ(records[i].startUs, periods[i].start);
+        EXPECT_EQ(records[i].endUs, periods[i].end);
+        EXPECT_EQ(records[i].shutdownUs, periods[i].shutdownAt);
+        EXPECT_EQ(records[i].execution, 3);
     }
+}
 
-    std::ifstream is(path);
-    ASSERT_TRUE(is.is_open());
-    std::stringstream buffer;
-    buffer << is.rdbuf();
-    const std::string text = buffer.str();
-    for (std::size_t i = 0; i < 6; ++i) {
-        const std::string needle =
-            std::string("\"outcome\":\"") +
-            idleOutcomeName(static_cast<IdleOutcome>(i)) + "\"";
-        EXPECT_NE(text.find(needle), std::string::npos)
-            << "missing " << needle;
+TEST(IdleLengthBounds, AscendAndFoldABreakevenOnADecade)
+{
+    for (const TimeUs breakeven :
+         {secondsUs(5.43), secondsUs(10.0), millisUs(50.0)}) {
+        const std::vector<TimeUs> bounds = idleLengthBounds(breakeven);
+        EXPECT_TRUE(std::adjacent_find(bounds.begin(), bounds.end(),
+                                       std::greater_equal<TimeUs>()) ==
+                    bounds.end())
+            << "bounds must strictly ascend";
+        EXPECT_TRUE(std::count(bounds.begin(), bounds.end(),
+                               breakeven) == 1);
+        // IdleLengthTally takes them as they are.
+        IdleLengthTally tally(bounds);
+        tally.add(breakeven);
+        EXPECT_EQ(tally.count(), 1u);
     }
-    std::filesystem::remove(path);
+    EXPECT_EQ(idleLengthBounds(secondsUs(10.0)).size(), 7u);
+    EXPECT_EQ(idleLengthBounds(secondsUs(5.43)).size(), 8u);
 }
 
 } // namespace

@@ -1,24 +1,30 @@
 /**
  * @file
  * Provenance flight-recorder tests: ring-buffer semantics, binary
- * round-trip, name-table lockstep with sim/pred, forensics
- * aggregation, and the end-to-end reconciliation guarantee — the
- * per-signature outcome counts summed over a cell's provenance log
- * equal the AccuracyStats the same run reported.
+ * round-trip and rejection of malformed files, JSONL rendering,
+ * name-table lockstep with sim/pred, forensics aggregation, and the
+ * end-to-end reconciliation guarantee — every cell kind writes one
+ * log whose outcome counts equal the AccuracyStats the same run
+ * reported.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/provenance.hpp"
 #include "pred/predictor.hpp"
 #include "sim/experiment.hpp"
+#include "sim/policy.hpp"
 #include "sim/observer.hpp"
 
 namespace pcap {
@@ -168,6 +174,89 @@ TEST(ProvenanceBinary, ReaderRejectsGarbage)
     EXPECT_NE(obs::readProvenanceFile(bad, records), "");
 }
 
+TEST(ProvenanceBinary, ReaderRejectsOutOfRangeFields)
+{
+    TempDir dir;
+    const std::string good = dir.path + "/good.prov.bin";
+    {
+        obs::BinaryProvenanceWriter writer(good);
+        writer.write(sampleRecord(1));
+        writer.close();
+    }
+    std::vector<obs::ProvenanceRecord> records;
+    ASSERT_EQ(obs::readProvenanceFile(good, records), "");
+
+    // File offsets of the one-byte fields: a 16-byte header, then
+    // five i64, two i32, the u32 signature, the u64 path hash and
+    // the u32 path length precede them.
+    constexpr std::size_t kTailLength = 16 + 5 * 8 + 2 * 4 + 4 + 8 + 4;
+    const struct
+    {
+        const char *field;
+        std::size_t offset;
+        unsigned char value;
+    } cases[] = {
+        {"path tail length", kTailLength,
+         obs::kProvenancePathTail + 1},
+        {"path tail length", kTailLength, 255},
+        {"outcome", kTailLength + 1, obs::kProvenanceOutcomes},
+        {"source", kTailLength + 2, 3},
+        {"flags", kTailLength + 3, 1u << 3},
+    };
+    for (const auto &c : cases) {
+        std::ifstream in(good, std::ios::binary);
+        std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+        bytes[c.offset] = static_cast<char>(c.value);
+        const std::string bad = dir.path + "/bad.prov.bin";
+        std::ofstream(bad, std::ios::binary) << bytes;
+        records.clear();
+        const std::string problem =
+            obs::readProvenanceFile(bad, records);
+        EXPECT_NE(problem.find("malformed record"), std::string::npos)
+            << c.field << " = " << int(c.value) << ": " << problem;
+    }
+}
+
+TEST(ProvenanceJsonl, RendersBinaryReadBackLikeMemory)
+{
+    TempDir dir;
+    const std::string path = dir.path + "/cell.prov.bin";
+    std::vector<obs::ProvenanceRecord> written;
+    for (int i = 0; i < 7; ++i) // every outcome and source
+        written.push_back(sampleRecord(i));
+    written[2].flags = 0;        // no decision
+    written[3].flags = obs::kProvHasDecision | obs::kProvPredicted;
+    written[4].pathTailLength = obs::kProvenancePathTail;
+    {
+        obs::BinaryProvenanceWriter writer(path);
+        for (const auto &record : written)
+            writer.write(record);
+        writer.close();
+    }
+    std::vector<obs::ProvenanceRecord> read;
+    ASSERT_EQ(obs::readProvenanceFile(path, read), "");
+
+    std::ostringstream fromMemory, fromFile;
+    obs::writeProvenanceJsonl(written, "cell", fromMemory);
+    obs::writeProvenanceJsonl(read, "cell", fromFile);
+    EXPECT_EQ(fromFile.str(), fromMemory.str());
+
+    const std::string text = fromMemory.str();
+    EXPECT_EQ(text.rfind("{\"schema\":\"pcap-provenance-v1\","
+                         "\"cell\":\"cell\",\"path_tail\":8}\n",
+                         0),
+              0u);
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 8);
+    for (std::size_t i = 0; i < obs::kProvenanceOutcomes; ++i) {
+        const std::string needle =
+            std::string("\"outcome\":\"") +
+            obs::provenanceOutcomeName(static_cast<std::uint8_t>(i)) +
+            "\"";
+        EXPECT_NE(text.find(needle), std::string::npos) << needle;
+    }
+}
+
 TEST(ProvenanceNames, OutcomeTableMirrorsSimIdleOutcome)
 {
     // The obs layer cannot include sim (dependency order), so the
@@ -253,48 +342,76 @@ expectReconciles(const obs::ProvenanceForensics &f,
               stats.hits() + stats.misses() + stats.notPredicted);
 }
 
-TEST(ProvenanceReconciliation, LogMatchesAccuracyStatsExactly)
+/** True when @p path ends with @p suffix. */
+bool
+endsWith(const std::string &path, const std::string &suffix)
+{
+    return path.size() >= suffix.size() &&
+           path.compare(path.size() - suffix.size(), suffix.size(),
+                        suffix) == 0;
+}
+
+TEST(ProvenanceReconciliation, EveryCellWritesOneLogMatchingItsStats)
 {
     TempDir dir;
     sim::ExperimentConfig config;
     config.maxExecutions = 2;
     sim::ParallelOptions options;
+    options.jobs = 1;
     options.provenanceDir = dir.path;
     sim::ParallelEvaluation eval(config, options);
 
-    const sim::PolicyConfig policy = sim::PolicyConfig::pcapBase();
+    const sim::PolicyConfig policy = sim::policyByName("PCAP");
     const std::string app = "mozilla";
-    const sim::GlobalOutcome global = eval.globalRun(app, policy);
-    const sim::AccuracyStats local = eval.localAccuracy(app, policy);
+    // Cell-name prefix -> the stats that cell's run reported.
+    // maxExecutions = 2 is a non-default experiment config, so every
+    // stem carries a -c<confighash> digest after the app.
+    const std::map<std::string, sim::AccuracyStats> cells = {
+        {"local-mozilla-c", eval.localAccuracy(app, policy)},
+        {"global-mozilla-c", eval.globalRun(app, policy).run.accuracy},
+        {"multistate-mozilla-c",
+         eval.multiStateRun(app, policy).run.accuracy},
+        {"base-mozilla-c", eval.baseRun(app).accuracy},
+        {"ideal-mozilla-c", eval.idealRun(app).accuracy},
+    };
 
-    // Each cell serialized one binary log; fold each back through
-    // the forensics aggregation and reconcile against the stats the
-    // run itself reported.
-    std::size_t found = 0;
+    std::map<std::string, int> logs;
     for (const auto &entry :
          std::filesystem::directory_iterator(dir.path)) {
-        const std::string path = entry.path().string();
-        if (path.size() < 9 ||
-            path.compare(path.size() - 9, 9, ".prov.bin") != 0)
+        const std::string name = entry.path().filename().string();
+        EXPECT_FALSE(endsWith(name, ".jsonl")) << name;
+        if (!endsWith(name, ".prov.bin"))
             continue;
         std::vector<obs::ProvenanceRecord> records;
-        ASSERT_EQ(obs::readProvenanceFile(path, records), "");
-        ASSERT_FALSE(records.empty()) << path;
+        ASSERT_EQ(obs::readProvenanceFile(entry.path().string(),
+                                          records),
+                  "");
+        ASSERT_FALSE(records.empty()) << name;
         obs::ProvenanceForensics forensics;
         for (const auto &record : records)
             forensics.add(record);
-        const bool isGlobal =
-            path.find("global-") != std::string::npos;
-        expectReconciles(forensics, isGlobal
-                                        ? global.run.accuracy
-                                        : local);
-        ++found;
-        // The JSONL mirror exists alongside the binary log.
-        const std::string jsonl =
-            path.substr(0, path.size() - 4) + ".jsonl";
-        EXPECT_TRUE(std::filesystem::exists(jsonl)) << jsonl;
+        const auto cell = std::find_if(
+            cells.begin(), cells.end(), [&name](const auto &c) {
+                return name.rfind(c.first, 0) == 0;
+            });
+        ASSERT_NE(cell, cells.end()) << name;
+        SCOPED_TRACE(name);
+        expectReconciles(forensics, cell->second);
+        ++logs[cell->first];
+        // Policy cells name their policy; base and ideal have none,
+        // and their records carry no decision.
+        const bool policyCell = name.rfind("base-", 0) != 0 &&
+                                name.rfind("ideal-", 0) != 0;
+        EXPECT_EQ(name.find("-PCAP-") != std::string::npos,
+                  policyCell);
+        if (!policyCell) {
+            EXPECT_EQ(forensics.noDecision(), forensics.records());
+            for (const auto &record : records)
+                EXPECT_EQ(record.pid, -1);
+        }
     }
-    EXPECT_EQ(found, 2u); // one global cell, one local cell
+    for (const auto &[prefix, stats] : cells)
+        EXPECT_EQ(logs[prefix], 1) << prefix;
 }
 
 } // namespace

@@ -11,11 +11,14 @@
  * same 4-byte arithmetic signature.
  *
  * Output is markdown on stdout; --md and --html write the same
- * report as files. Exit codes: 0 success, 1 read/write failure,
- * 2 usage error.
+ * report as files, and --jsonl renders every input's records as
+ * pcap-provenance-v1 JSONL (<stem>.prov.jsonl, the cell named by
+ * the file name without .prov.bin). Exit codes: 0 success, 1
+ * read/write failure, 2 usage error.
  */
 
 #include <algorithm>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -38,6 +41,8 @@ usage(std::ostream &os)
           "(default 10)\n"
           "  --md PATH   also write the report as markdown\n"
           "  --html PATH also write the report as HTML\n"
+          "  --jsonl DIR also write each input's records as "
+          "DIR/<stem>.prov.jsonl\n"
           "  -h, --help  this text\n"
           "Directories expand to every *.prov.bin inside, sorted.\n";
 }
@@ -257,6 +262,32 @@ render(std::ostream &os, const std::vector<FileReport> &reports,
         os << "</body></html>\n";
 }
 
+/**
+ * Render @p records of the .prov.bin at @p path into
+ * @p dir/<stem>.prov.jsonl; false (after a diagnostic) on failure.
+ */
+bool
+writeJsonl(const std::string &dir, const std::string &path,
+           const std::vector<obs::ProvenanceRecord> &records)
+{
+    std::string cell = std::filesystem::path(path).filename().string();
+    if (cell.size() > 9 &&
+        cell.compare(cell.size() - 9, 9, ".prov.bin") == 0)
+        cell.resize(cell.size() - 9);
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    const std::string out = dir + "/" + cell + ".prov.jsonl";
+    std::ofstream os(out);
+    if (os)
+        obs::writeProvenanceJsonl(records, cell, os);
+    os.flush();
+    if (!os) {
+        std::cerr << "pcap_explain: cannot write " << out << "\n";
+        return false;
+    }
+    return true;
+}
+
 } // namespace
 
 int
@@ -265,6 +296,7 @@ main(int argc, char **argv)
     std::size_t top = 10;
     std::string md_path;
     std::string html_path;
+    std::string jsonl_dir;
     std::vector<std::string> inputs;
 
     for (int i = 1; i < argc; ++i) {
@@ -282,9 +314,12 @@ main(int argc, char **argv)
             return 0;
         } else if (arg == "--top") {
             const std::string text = value("--top");
-            try {
-                top = std::stoul(text);
-            } catch (const std::exception &) {
+            const char *end = text.data() + text.size();
+            // Digits only: from_chars takes no sign or space for an
+            // unsigned type, and rejects values that overflow.
+            const auto [stop, error] =
+                std::from_chars(text.data(), end, top);
+            if (text.empty() || error != std::errc() || stop != end) {
                 std::cerr << "pcap_explain: --top needs an integer, "
                              "got '"
                           << text << "'\n";
@@ -294,6 +329,8 @@ main(int argc, char **argv)
             md_path = value("--md");
         } else if (arg == "--html") {
             html_path = value("--html");
+        } else if (arg == "--jsonl") {
+            jsonl_dir = value("--jsonl");
         } else if (!arg.empty() && arg[0] == '-') {
             std::cerr << "pcap_explain: unknown option " << arg
                       << "\n";
@@ -347,6 +384,9 @@ main(int argc, char **argv)
         for (const obs::ProvenanceRecord &record : records)
             report.forensics.add(record);
         reports.push_back(std::move(report));
+        if (!jsonl_dir.empty() &&
+            !writeJsonl(jsonl_dir, path, records))
+            return 1;
     }
 
     render(std::cout, reports, top, /*html=*/false);
