@@ -60,8 +60,8 @@ void
 usage(std::ostream &os)
 {
     os << "usage: bench_all [options]\n"
-          "  -j, --jobs N      worker threads (default: hardware "
-          "cores)\n"
+          "  -j, --jobs N      threads (default: CPUs in the affinity "
+          "mask)\n"
           "      --no-cache    disable the on-disk workload cache\n"
           "      --cache-dir P workload cache directory (default: "
           "$PCAP_WORKLOAD_CACHE\n"
@@ -421,14 +421,19 @@ main(int argc, char **argv)
     ctx.traceStore = options.traceStore.get();
 
     std::vector<const bench::Report *> selected;
+    // One "report:<name>" region per selected report. Spans keep the
+    // name by pointer, so these live until the profile is written.
+    std::vector<std::string> report_regions;
     for (const auto &report : bench::allReports()) {
         // Opt-in reports are skipped by the default selection and
         // must be named explicitly.
         bool wanted = only.empty() && !report.optIn;
         for (const std::string &name : only)
             wanted = wanted || name == report.name;
-        if (wanted)
+        if (wanted) {
             selected.push_back(&report);
+            report_regions.push_back("report:" + report.name);
+        }
     }
     if (selected.empty()) {
         error("no matching reports (see --list)");
@@ -461,16 +466,14 @@ main(int argc, char **argv)
 
     const Clock::time_point inputs_start = Clock::now();
     if (!cells.empty()) {
-        obs::Span span("inputs");
-        obs::PerfRegion perf("phase:inputs");
+        obs::Span span("phase:inputs");
         eval.prefetchInputs();
     }
     const double inputs_ms = msSince(inputs_start);
 
     const Clock::time_point cells_start = Clock::now();
     {
-        obs::Span span("simulation");
-        obs::PerfRegion perf("phase:simulation");
+        obs::Span span("phase:simulation");
         eval.prefetch(cells);
     }
     const double cells_ms = msSince(cells_start);
@@ -479,13 +482,12 @@ main(int argc, char **argv)
     // (cells not covered by the prefetch, plus formatting).
     Json report_json = Json::object();
     Json timing_json = Json::object();
-    for (const bench::Report *report : selected) {
+    for (std::size_t r = 0; r < selected.size(); ++r) {
+        const bench::Report *report = selected[r];
         const Clock::time_point start = Clock::now();
         std::ostringstream text;
         {
-            obs::Span span("report", report->name);
-            obs::PerfRegion perf("report:" +
-                                 std::string(report->name));
+            obs::Span span(report_regions[r].c_str());
             report->run(ctx, text);
         }
         const double ms = msSince(start);

@@ -8,6 +8,7 @@
 
 #include "obs/perf.hpp"
 #include "obs/provenance.hpp"
+#include "obs/tracing.hpp"
 #include "power/disk_params.hpp"
 #include "sim/drivers.hpp"
 #include "sim/fleet.hpp"
@@ -764,15 +765,15 @@ reportAblationCache(ReportContext &ctx, std::ostream &os)
         }
         rows.push_back(std::move(row));
     }
-    // Overlap the rows: each prefetch fans its cells over its own
-    // transient pool, and the slowest cell of one configuration no
-    // longer gates the start of the next. Serial engines implement
-    // prefetchCells as a no-op and compute every cell inline below.
-    pcap::parallelFor(static_cast<unsigned>(rows.size()),
-                      rows.size(), [&](std::size_t i) {
-                          rows[i].eval->prefetchCells(
-                              cellsAblationCache());
-                      });
+    // Overlap the rows at the engine's width: each row's prefetch
+    // fans its cells out again, and idle workers help whichever row
+    // still has cells, so the slowest cell of one configuration no
+    // longer gates the start of the next. Serial engines run one
+    // row at a time and implement prefetchCells as a no-op: every
+    // cell is computed inline below.
+    pcap::parallelFor(ctx.eval.jobs(), rows.size(), [&](std::size_t i) {
+        rows[i].eval->prefetchCells(cellsAblationCache());
+    });
 
     for (const SweepRow &row : rows) {
         sim::EvaluationApi *eval = row.eval;
@@ -1286,7 +1287,7 @@ reportFleet(ReportContext &ctx, std::ostream &os)
     sim::FleetDriver driver(fleet, config.sim, config.cache,
                             options);
     const sim::FleetReport report = [&] {
-        obs::PerfRegion perf("fleet:simulate");
+        obs::Span span("fleet:simulate");
         return driver.run(policies);
     }();
 

@@ -405,7 +405,7 @@ PerfProfiler::snapshot()
 }
 
 void
-PerfProfiler::accumulate(const std::string &region,
+PerfProfiler::accumulate(std::string_view region,
                          const PerfCounts &delta)
 {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -449,33 +449,6 @@ bool
 perfEnabled()
 {
     return perfProfiler() != nullptr;
-}
-
-PerfRegion::PerfRegion(std::string name)
-    : PerfRegion(nullptr, nullptr)
-{
-    if (profiler_)
-        name_ = std::move(name);
-}
-
-PerfRegion::PerfRegion(const char *name, PerfCounts *into)
-    : profiler_(perfProfiler()), literal_(name), into_(into)
-{
-    if (profiler_)
-        start_ = profiler_->snapshot();
-}
-
-PerfRegion::~PerfRegion()
-{
-    if (!profiler_)
-        return;
-    const PerfCounts delta = profiler_->snapshot().since(start_);
-    if (into_)
-        into_->add(delta);
-    if (literal_)
-        profiler_->accumulate(literal_, delta);
-    else if (!name_.empty())
-        profiler_->accumulate(name_, delta);
 }
 
 Json

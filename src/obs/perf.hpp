@@ -4,10 +4,11 @@
  *
  * Spans (tracing.hpp) resolve *where wall time goes*; this layer
  * resolves *how the hardware executes it*: cycles, instructions,
- * cache and branch behaviour per measured region, so a "2.2
- * ns/period" claim carries IPC and miss-rate evidence instead of a
- * wall clock alone — and the exact counter plumbing a live-mode PC
- * collector will reuse.
+ * cache and branch behaviour per measured region (every obs::Span,
+ * aggregated under its name while a profiler is installed), so a
+ * "2.2 ns/period" claim carries IPC and miss-rate evidence instead
+ * of a wall clock alone — and the exact counter plumbing a
+ * live-mode PC collector will reuse.
  *
  * One PerfCounterGroup opens a *grouped* set of counters for the
  * calling thread — cycles (leader), instructions, cache
@@ -34,6 +35,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -144,7 +146,7 @@ class PerfCounterGroup
  * Process-wide profiler: owns one lazily-opened PerfCounterGroup per
  * thread (registration takes a mutex once per thread, reads are
  * thread-local) and accumulates named region deltas. Install via
- * setPerfProfiler; PerfRegion and Span pick it up globally.
+ * setPerfProfiler; every obs::Span (tracing.hpp) picks it up.
  */
 class PerfProfiler
 {
@@ -164,8 +166,7 @@ class PerfProfiler
     PerfCounts snapshot();
 
     /** Fold @p delta into the named region aggregate. */
-    void accumulate(const std::string &region,
-                    const PerfCounts &delta);
+    void accumulate(std::string_view region, const PerfCounts &delta);
 
     /** All named region aggregates, sorted by name. */
     std::vector<std::pair<std::string, PerfCounts>> regions() const;
@@ -187,8 +188,8 @@ class PerfProfiler
 };
 
 /** Install @p profiler as the process-wide counter sink (nullptr
- * disables). Not owned; must outlive every region and span started
- * while installed. */
+ * disables). Not owned; must outlive every span started while
+ * installed. */
 void setPerfProfiler(PerfProfiler *profiler);
 
 /** The installed profiler, or nullptr when profiling is off. */
@@ -196,41 +197,6 @@ PerfProfiler *perfProfiler();
 
 /** True when a profiler is installed. */
 bool perfEnabled();
-
-/**
- * RAII measured region: snapshots the calling thread's counters at
- * construction and accumulates the delta at destruction — into the
- * profiler's named aggregate, a caller-owned PerfCounts, or both.
- * With no profiler installed, construction is two loads.
- */
-class PerfRegion
-{
-  public:
-    explicit PerfRegion(const char *name) : PerfRegion(name, nullptr)
-    {
-    }
-
-    explicit PerfRegion(std::string name);
-
-    /** Accumulate into @p into only (no named aggregate). */
-    explicit PerfRegion(PerfCounts *into)
-        : PerfRegion(nullptr, into)
-    {
-    }
-
-    PerfRegion(const char *name, PerfCounts *into);
-    ~PerfRegion();
-
-    PerfRegion(const PerfRegion &) = delete;
-    PerfRegion &operator=(const PerfRegion &) = delete;
-
-  private:
-    PerfProfiler *profiler_;
-    const char *literal_ = nullptr;
-    std::string name_; ///< only for the std::string constructor
-    PerfCounts *into_ = nullptr;
-    PerfCounts start_;
-};
 
 /** One reading as a JSON object — the shared shape of the
  * pcap-perf-v1 block, drill-down policies and tests (identical for

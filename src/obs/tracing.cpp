@@ -284,38 +284,34 @@ traceEnabled()
     return traceRecorder() != nullptr;
 }
 
-Span::Span(const char *name, std::string_view detail)
-    : recorder_(traceRecorder()), name_(name)
+Span::Span(const char *name, std::string_view detail,
+           PerfCounts *into)
+    : recorder_(traceRecorder()), profiler_(perfProfiler()),
+      name_(name), into_(into)
 {
-    if (!recorder_)
-        return;
-    copyDetail(detail_, detail);
-    // Counter attribution rides the same opt-in: spans pick up
-    // hardware deltas only when both --trace-profile and --perf
-    // installed their process-global sinks.
-    if (PerfProfiler *profiler = perfProfiler()) {
-        perfStart_ = profiler->snapshot();
-        perfArmed_ = true;
-    }
-    startNs_ = recorder_->nowNs();
+    if (recorder_)
+        copyDetail(detail_, detail);
+    if (profiler_)
+        perfStart_ = profiler_->snapshot();
+    if (recorder_)
+        startNs_ = recorder_->nowNs();
 }
 
 Span::~Span()
 {
-    if (!recorder_)
-        return;
-    const std::uint64_t end = recorder_->nowNs();
+    const std::uint64_t end = recorder_ ? recorder_->nowNs() : 0;
     PerfCounts delta;
-    bool hasDelta = false;
-    if (perfArmed_) {
-        if (PerfProfiler *profiler = perfProfiler()) {
-            delta = profiler->snapshot().since(perfStart_);
-            hasDelta = true;
-        }
+    if (profiler_) {
+        delta = profiler_->snapshot().since(perfStart_);
+        if (into_)
+            into_->add(delta);
+        else
+            profiler_->accumulate(name_, delta);
     }
-    recorder_->append(name_, detail_.data(), startNs_,
-                      end - startNs_,
-                      hasDelta ? &delta : nullptr);
+    if (recorder_)
+        recorder_->append(name_, detail_.data(), startNs_,
+                          end - startNs_,
+                          profiler_ ? &delta : nullptr);
 }
 
 void

@@ -13,7 +13,9 @@
  * Perfetto or chrome://tracing.
  *
  * Tracing is opt-in and process-global: bench_all installs a
- * recorder via setTraceRecorder for --trace-profile; with none
+ * recorder via setTraceRecorder for --trace-profile. A Span is also
+ * the counter region of perf.hpp, so --perf alone aggregates the same
+ * named regions without recording events; with neither sink
  * installed a Span construction is two loads and a branch.
  */
 
@@ -133,18 +135,23 @@ TraceRecorder *traceRecorder();
 bool traceEnabled();
 
 /**
- * RAII wall-clock span. Captures the installed recorder and a
- * timestamp at construction, appends one complete event at
- * destruction. @p name must be a string literal (it is stored by
- * pointer); per-instance data goes in @p detail, which is copied
- * (and truncated) into the event.
+ * RAII measured region: the one way to time a piece of work. While a
+ * recorder is installed it appends one complete wall-clock event;
+ * while a PerfProfiler is installed it accumulates the calling
+ * thread's counter delta under @p name (or into @p into instead,
+ * when given) and attaches it to the event. Either sink works
+ * without the other; with neither, construction is two loads.
+ *
+ * @p name is stored by pointer and must outlive the recorder's
+ * profile write (a string literal, or storage the caller keeps
+ * alive). Per-instance data goes in @p detail, which is copied (and
+ * truncated) into the event.
  */
 class Span
 {
   public:
-    explicit Span(const char *name) : Span(name, {}) {}
-
-    Span(const char *name, std::string_view detail);
+    explicit Span(const char *name, std::string_view detail = {},
+                  PerfCounts *into = nullptr);
     ~Span();
 
     Span(const Span &) = delete;
@@ -152,19 +159,20 @@ class Span
 
   private:
     TraceRecorder *recorder_;
-    std::uint64_t startNs_ = 0;
+    PerfProfiler *profiler_;
     const char *name_;
+    PerfCounts *into_;
+    std::uint64_t startNs_ = 0;
     std::array<char, kSpanDetailBytes> detail_{};
-    /** Counter snapshot at construction; only taken when a
-     * PerfProfiler is installed alongside the recorder. */
-    PerfCounts perfStart_;
-    bool perfArmed_ = false;
+    PerfCounts perfStart_; ///< taken only with a profiler
 };
 
 /**
- * Wire ThreadPool's task hook to the tracer: every pool task runs
- * under a "pool-task" span while a recorder is installed. Idempotent;
- * call once at startup when --trace-profile is requested.
+ * Wire ThreadPool's task hook to the tracer: every task (one
+ * participant's stint on a parallelFor batch, the caller's included)
+ * runs under a "pool-task" span while a recorder is installed.
+ * Idempotent; call once at startup when --trace-profile is
+ * requested.
  */
 void installThreadPoolTraceHook();
 

@@ -134,6 +134,11 @@ class EvaluationApi
     {
         (void)cells;
     }
+
+    /** Threads this engine fans work over; the serial default is 1.
+     * Callers that fan out engines side by side use it as their
+     * width. */
+    virtual unsigned jobs() const { return 1; }
 };
 
 /**
@@ -335,6 +340,8 @@ class ParallelEvaluation : public EvaluationApi
     {
         prefetch(cells);
     }
+
+    unsigned jobs() const override { return options_.jobs; }
 
     /** Make every application's inputs resident, in parallel. */
     void prefetchInputs();

@@ -362,9 +362,8 @@ FleetDriver::drillHost(const workload::HostProfile &profile,
                        const std::vector<PolicyConfig> &policies,
                        const std::string &dir) const
 {
-    obs::Span span("fleet-drilldown",
+    obs::Span span("fleet:drilldown",
                    "host " + std::to_string(profile.host));
-    obs::PerfRegion perfRegion("fleet:drilldown");
     std::filesystem::create_directories(dir);
 
     HostDrilldown drill;
@@ -428,7 +427,8 @@ FleetDriver::drillHost(const workload::HostProfile &profile,
         drill.simSpanUs +=
             static_cast<std::uint64_t>(input->endTime);
         for (std::size_t p = 0; p < policies.size(); ++p) {
-            obs::PerfRegion perf(&perfTotals[p]);
+            obs::Span perf("fleet:drilldown-replay",
+                           policies[p].label, &perfTotals[p]);
             runs[p].merge(
                 cells[p].kernel.runExecution(*input, cells[p].driver));
         }
@@ -482,10 +482,9 @@ FleetDriver::run(const std::vector<PolicyConfig> &policies) const
         const std::size_t first = s * kFleetHostsPerShard;
         const std::size_t last =
             std::min(hosts, first + kFleetHostsPerShard);
-        obs::Span span("fleet-shard",
+        obs::Span span("fleet:shard",
                        "hosts " + std::to_string(first) + "-" +
                            std::to_string(last - 1));
-        obs::PerfRegion perf("fleet:shard");
         for (std::size_t i = first; i < last; ++i) {
             HostCellResult cell = runHost(
                 workload::hostProfile(

@@ -1,15 +1,23 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <memory>
+#include <condition_variable>
+#include <deque>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 namespace pcap {
 
 namespace {
 
-// Process-global so the numbers survive the short-lived pools that
-// parallelFor() spins up and tears down.
 std::atomic<std::uint64_t> gTasksSubmitted{0};
 std::atomic<std::uint64_t> gTasksExecuted{0};
 std::atomic<std::uint64_t> gTaskNanos{0};
@@ -18,41 +26,131 @@ std::atomic<std::uint64_t> gPeakQueueDepth{0};
 // The two halves of the installed TaskHook, stored as separate
 // atomics so readers never need a lock. Torn reads across the pair
 // are benign: each half is checked for null before use, and the
-// contract is to install the hook before submitting work.
+// contract is to install the hook before starting work.
 std::atomic<void *(*)()> gHookBegin{nullptr};
 std::atomic<void (*)(void *)> gHookEnd{nullptr};
 
-/** Runs the installed hook around one task, exception-safely. */
-class TaskHookGuard
+/** One parallelFor call. Lives on the caller's stack; the caller
+ * returns only once no worker holds a pointer to it. */
+struct Batch
+{
+    // One shared counter instead of pre-chunking, so uneven cell
+    // costs (mplayer vs nedit) still balance across participants.
+    std::atomic<std::size_t> next{0};
+    std::size_t n = 0;
+    const std::function<void(std::size_t)> *body = nullptr;
+
+    // Guarded by Pool::mutex_.
+    std::exception_ptr error;  ///< first exception a body threw
+    unsigned openSlots = 0;    ///< helper slots not yet taken
+    unsigned helpers = 0;      ///< workers inside the batch
+    std::condition_variable left; ///< the last helper left
+};
+
+class Pool
 {
   public:
-    TaskHookGuard()
+    /** Deliberately leaked: idle workers wait on it until the
+     * process exits. A joining static destructor could run on a
+     * worker (fatal() exits from inside a body) and join itself, or
+     * wait out batches still running at exit. */
+    static Pool &instance()
     {
-        auto *begin = gHookBegin.load(std::memory_order_acquire);
-        if (begin)
-            token_ = begin();
+        static Pool *const pool = new Pool;
+        return *pool;
     }
 
-    ~TaskHookGuard()
+    void run(unsigned width, std::size_t n,
+             const std::function<void(std::size_t)> &body)
     {
-        auto *end = gHookEnd.load(std::memory_order_acquire);
-        if (end)
-            end(token_);
+        Batch batch;
+        batch.n = n;
+        batch.body = &body;
+        const unsigned slots = width - 1;
+        gTasksSubmitted.fetch_add(width, std::memory_order_relaxed);
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            while (workers_.size() < slots)
+                workers_.emplace_back([this] { workerLoop(); });
+            batch.openSlots = slots;
+            open_.push_back(&batch);
+            // Only written under mutex_; atomic for globalStats().
+            if (open_.size() > gPeakQueueDepth.load())
+                gPeakQueueDepth.store(open_.size());
+        }
+        for (unsigned i = 0; i < slots; ++i)
+            wake_.notify_one();
+
+        stint(batch);
+
+        std::unique_lock<std::mutex> lock(mutex_);
+        if (batch.openSlots > 0) // the batch is exhausted: withdraw
+            open_.erase(std::find(open_.begin(), open_.end(), &batch));
+        batch.left.wait(lock, [&] { return batch.helpers == 0; });
+        if (batch.error)
+            std::rethrow_exception(batch.error);
     }
 
   private:
-    void *token_ = nullptr;
-};
+    Pool() = default;
 
-void
-notePeakDepth(std::uint64_t depth)
-{
-    std::uint64_t seen = gPeakQueueDepth.load(std::memory_order_relaxed);
-    while (depth > seen &&
-           !gPeakQueueDepth.compare_exchange_weak(
-               seen, depth, std::memory_order_relaxed)) {
+    /** Claim indices of @p batch until it is exhausted. The catch
+     * takes every exception, so the task hook's end() always runs
+     * (with a null token if begin() threw). */
+    void stint(Batch &batch)
+    {
+        void *token = nullptr;
+        const auto start = std::chrono::steady_clock::now();
+        try {
+            if (auto *begin = gHookBegin.load(std::memory_order_acquire))
+                token = begin();
+            for (std::size_t i = batch.next.fetch_add(1); i < batch.n;
+                 i = batch.next.fetch_add(1))
+                (*batch.body)(i);
+        } catch (...) {
+            batch.next.store(batch.n);
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (!batch.error)
+                batch.error = std::current_exception();
+        }
+        if (auto *end = gHookEnd.load(std::memory_order_acquire))
+            end(token);
+        const auto elapsed = std::chrono::steady_clock::now() - start;
+        gTaskNanos.fetch_add(
+            static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    elapsed)
+                    .count()),
+            std::memory_order_relaxed);
+        gTasksExecuted.fetch_add(1, std::memory_order_relaxed);
     }
-}
+
+    /** Idle, take a helper slot of the oldest open batch. A batch
+     * may already be exhausted; the stint then ends at once. */
+    void workerLoop()
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        for (;;) {
+            wake_.wait(lock, [this] { return !open_.empty(); });
+            Batch &batch = *open_.front();
+            if (--batch.openSlots == 0)
+                open_.pop_front();
+            ++batch.helpers;
+            lock.unlock();
+            stint(batch);
+            lock.lock();
+            // The caller frees the batch once helpers reaches 0, so
+            // this is the last touch.
+            if (--batch.helpers == 0)
+                batch.left.notify_one();
+        }
+    }
+
+    std::mutex mutex_;
+    std::condition_variable wake_; ///< idle workers wait for slots
+    std::deque<Batch *> open_;     ///< batches with helper slots open
+    std::vector<std::thread> workers_;
+};
 
 } // namespace
 
@@ -75,153 +173,35 @@ ThreadPool::setTaskHook(TaskHook hook)
     gHookEnd.store(hook.end, std::memory_order_release);
 }
 
-void
-ThreadPool::runCounted(const std::function<void()> &task)
-{
-    TaskHookGuard hook;
-    const auto start = std::chrono::steady_clock::now();
-    task();
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    gTaskNanos.fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                .count()),
-        std::memory_order_relaxed);
-    gTasksExecuted.fetch_add(1, std::memory_order_relaxed);
-}
-
-ThreadPool::ThreadPool(unsigned jobs)
-{
-    if (jobs <= 1)
-        return; // inline mode
-    workers_.reserve(jobs);
-    for (unsigned i = 0; i < jobs; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    try {
-        wait();
-    } catch (...) {
-        // The destructor must not throw; wait() rethrows task
-        // errors for callers that care.
-    }
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-    }
-    wake_.notify_all();
-    for (std::thread &worker : workers_)
-        worker.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    gTasksSubmitted.fetch_add(1, std::memory_order_relaxed);
-    if (workers_.empty()) {
-        // Inline pool: run right here, mirroring worker semantics.
-        try {
-            runCounted(task);
-        } catch (...) {
-            recordException(std::current_exception());
-        }
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        queue_.push_back(std::move(task));
-        ++inFlight_;
-        notePeakDepth(queue_.size());
-    }
-    wake_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    drained_.wait(lock, [this] { return inFlight_ == 0; });
-    if (firstError_) {
-        std::exception_ptr error = firstError_;
-        firstError_ = nullptr;
-        std::rethrow_exception(error);
-    }
-}
-
-void
-ThreadPool::parallelFor(std::size_t n,
-                        const std::function<void(std::size_t)> &body)
-{
-    if (workers_.empty() || n <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            body(i);
-        return;
-    }
-    // One shared counter instead of pre-chunking, so uneven cell
-    // costs (mplayer vs nedit) still balance across workers.
-    auto next = std::make_shared<std::atomic<std::size_t>>(0);
-    const std::size_t tasks =
-        std::min<std::size_t>(workers_.size(), n);
-    for (std::size_t t = 0; t < tasks; ++t) {
-        submit([next, n, &body] {
-            for (std::size_t i = (*next)++; i < n; i = (*next)++)
-                body(i);
-        });
-    }
-    wait();
-}
-
 unsigned
 ThreadPool::hardwareJobs()
 {
+#if defined(__linux__)
+    // hardware_concurrency() counts online CPUs; under taskset or a
+    // cpuset the process may run on fewer.
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (sched_getaffinity(0, sizeof mask, &mask) == 0) {
+        const int cpus = CPU_COUNT(&mask);
+        if (cpus > 0)
+            return static_cast<unsigned>(cpus);
+    }
+#endif
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;
-}
-
-void
-ThreadPool::workerLoop()
-{
-    for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            wake_.wait(lock, [this] {
-                return stopping_ || !queue_.empty();
-            });
-            if (queue_.empty())
-                return; // stopping_ and nothing left to do
-            task = std::move(queue_.front());
-            queue_.pop_front();
-        }
-        try {
-            runCounted(task);
-        } catch (...) {
-            recordException(std::current_exception());
-        }
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            --inFlight_;
-        }
-        drained_.notify_all();
-    }
-}
-
-void
-ThreadPool::recordException(std::exception_ptr error)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!firstError_)
-        firstError_ = error;
 }
 
 void
 parallelFor(unsigned jobs, std::size_t n,
             const std::function<void(std::size_t)> &body)
 {
-    ThreadPool pool(jobs);
-    pool.parallelFor(n, body);
+    const std::size_t width = std::min<std::size_t>(jobs, n);
+    if (width <= 1) {
+        for (std::size_t i = 0; i < n; ++i)
+            body(i);
+        return;
+    }
+    Pool::instance().run(static_cast<unsigned>(width), n, body);
 }
 
 } // namespace pcap

@@ -1,138 +1,94 @@
 /**
  * @file
- * A small fixed-size thread pool with a deterministic fan-out/join
- * API for the parallel experiment engine.
+ * The process-wide scheduler of the parallel experiment engine.
  *
- * The pool is built for embarrassingly parallel (app x policy)
- * simulation cells: parallelFor() hands out indices from a shared
- * atomic counter, every worker writes only to the slots it owns, and
- * the call joins before returning — so results are positionally
- * deterministic no matter how the OS schedules the workers. With
- * jobs <= 1 (or n == 1) the loop body runs inline on the calling
- * thread and no threads are spawned, which keeps single-core runs
- * and unit tests free of scheduling noise.
+ * parallelFor(jobs, n, body) is the one entry point. A call
+ * publishes one *batch*: an atomic next index, n, the body and the
+ * first exception any body call throws. The calling thread claims
+ * indices of that batch until none are left, and at most
+ * min(jobs, n) - 1 pool workers help it. Every participant writes
+ * only index-owned state and the call joins before returning, so
+ * results are positionally deterministic no matter how the OS
+ * schedules the threads. jobs <= 1 (or n <= 1) runs the loop inline
+ * on the calling thread and starts no thread.
+ *
+ * A *task* is one participant's stint on a batch: from its first
+ * claimed index to the moment it finds the batch exhausted. The
+ * caller's stint is a task too. Task hooks and GlobalStats count
+ * stints.
+ *
+ * The pool is persistent: it starts workers lazily, up to the widest
+ * batch ever asked for, and never shrinks. A worker joins a batch
+ * only while idle, and a caller never runs another batch's work
+ * while it waits. Nested calls (rows -> apps -> executions) at the
+ * same width therefore start no further thread and cannot deadlock:
+ * a caller can always finish its own batch alone, and a
+ * std::call_once owner never re-enters its own flag through
+ * somebody else's work.
  */
 
 #ifndef PCAP_UTIL_THREAD_POOL_HPP
 #define PCAP_UTIL_THREAD_POOL_HPP
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace pcap {
 
-/**
- * Fixed set of worker threads draining a shared task queue.
- *
- * Tasks are plain std::function<void()> thunks. The first exception
- * thrown by any task is captured and rethrown from wait() (or the
- * destructor swallows it after draining, so a pool can always be
- * destroyed safely). Submitting from inside a task is allowed.
- */
+/** Process-wide scheduler statistics, hook and sizing. The pool
+ * itself is internal; parallelFor() is how work reaches it. */
 class ThreadPool
 {
   public:
+    ThreadPool() = delete;
+
     /**
-     * Process-wide task accounting, aggregated over every pool that
-     * ever ran (pools are transient — parallelFor() creates and
-     * destroys one per call — so per-pool counters would vanish with
-     * the pool). Exported by bench_all as pcap_thread_pool_* wall
-     * metrics.
+     * Process-wide task accounting. Exported by bench_all as
+     * pcap_thread_pool_* wall metrics.
      */
     struct GlobalStats {
-        std::uint64_t tasksSubmitted = 0; ///< submit() calls
-        std::uint64_t tasksExecuted = 0;  ///< tasks run to completion
-        std::uint64_t taskNanos = 0;      ///< summed task wall time
-        std::uint64_t peakQueueDepth = 0; ///< max queued-task backlog
+        std::uint64_t tasksSubmitted = 0; ///< stints offered
+        std::uint64_t tasksExecuted = 0;  ///< stints run
+        std::uint64_t taskNanos = 0;      ///< summed stint wall time
+        std::uint64_t peakQueueDepth = 0; ///< most batches open at once
     };
 
     /** Snapshot of the process-wide task counters. */
     static GlobalStats globalStats();
 
     /**
-     * Optional process-wide observation hook around task execution:
-     * begin() runs on the executing thread just before a task,
-     * end(token) runs right after with begin's return value — even
-     * when the task throws. Plain function pointers (not
-     * std::function) so installing and invoking stay lock-free;
-     * util cannot depend on obs, so the tracer installs itself
-     * through this seam (obs::installThreadPoolTraceHook).
+     * Optional process-wide observation hook around each task:
+     * begin() runs on the participating thread just before its
+     * stint, end(token) right after with begin's return value (null
+     * if begin threw) — even when the body throws. Plain function
+     * pointers (not std::function) so installing and invoking stay
+     * lock-free; util cannot depend on obs, so the tracer installs
+     * itself through this seam (obs::installThreadPoolTraceHook).
      */
     struct TaskHook {
         void *(*begin)() = nullptr;
         void (*end)(void *token) = nullptr;
     };
 
-    /** Install @p hook for every subsequently executed task; a
+    /** Install @p hook for every subsequent stint; a
      * default-constructed hook uninstalls. Not synchronized with
-     * running tasks — install before submitting work. */
+     * running stints — install before starting work. */
     static void setTaskHook(TaskHook hook);
 
-    /**
-     * @param jobs Number of worker threads; 0 and 1 both mean "run
-     *        everything inline on the calling thread".
-     */
-    explicit ThreadPool(unsigned jobs);
-
-    /** Joins all workers; pending tasks are still executed. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Worker count (0 when the pool runs inline). */
-    unsigned workerCount() const
-    {
-        return static_cast<unsigned>(workers_.size());
-    }
-
-    /** Enqueue one task. Inline pools run it immediately. */
-    void submit(std::function<void()> task);
-
-    /**
-     * Block until every submitted task has finished, then rethrow
-     * the first captured task exception, if any.
-     */
-    void wait();
-
-    /**
-     * Deterministic fan-out/join: run body(i) for every i in [0, n),
-     * distributing indices across the pool, and return only when all
-     * calls completed. The body must confine its writes to
-     * index-owned state; under that contract the result is identical
-     * to the serial loop `for (i = 0; i < n; ++i) body(i)`.
-     */
-    void parallelFor(std::size_t n,
-                     const std::function<void(std::size_t)> &body);
-
-    /** A sensible default worker count for this machine. */
+    /** CPUs this process may run on (its affinity mask), else the
+     * online CPU count; at least 1. */
     static unsigned hardwareJobs();
-
-  private:
-    void workerLoop();
-    void recordException(std::exception_ptr error);
-    static void runCounted(const std::function<void()> &task);
-
-    std::vector<std::thread> workers_;
-    std::deque<std::function<void()>> queue_;
-    std::mutex mutex_;
-    std::condition_variable wake_;     ///< workers wait for tasks
-    std::condition_variable drained_;  ///< wait() waits for idle
-    std::size_t inFlight_ = 0;         ///< queued + running tasks
-    bool stopping_ = false;
-    std::exception_ptr firstError_;
 };
 
 /**
- * One-shot convenience: fan body(i), i in [0, n), over a transient
- * pool of @p jobs workers and join. jobs <= 1 runs inline.
+ * Deterministic fan-out/join: run body(i) for every i in [0, n) on
+ * the calling thread plus at most min(jobs, n) - 1 pool workers,
+ * and return once every participant has left the batch. The body
+ * must confine its writes to index-owned state; under that contract
+ * the result is identical to `for (i = 0; i < n; ++i) body(i)`.
+ * The first exception a body call throws stops further claims and
+ * is rethrown here after the batch is empty.
  */
 void parallelFor(unsigned jobs, std::size_t n,
                  const std::function<void(std::size_t)> &body);

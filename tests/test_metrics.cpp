@@ -77,8 +77,7 @@ TEST(MetricsRegistry, ConcurrentIncrementsAreExact)
 
     const std::size_t tasks = 64;
     const std::uint64_t perTask = 2000;
-    ThreadPool pool(8);
-    pool.parallelFor(tasks, [&](std::size_t) {
+    parallelFor(8, tasks, [&](std::size_t) {
         for (std::uint64_t i = 0; i < perTask; ++i) {
             counter.inc();
             gauge.add(1.0);
@@ -99,8 +98,7 @@ TEST(MetricsRegistry, ConcurrentCreateOrGetIsSafe)
     // them; totals must still be exact.
     MetricsRegistry registry;
     const std::size_t tasks = 64;
-    ThreadPool pool(8);
-    pool.parallelFor(tasks, [&](std::size_t task) {
+    parallelFor(8, tasks, [&](std::size_t task) {
         for (int i = 0; i < 16; ++i) {
             registry
                 .counter("series_total",
@@ -203,8 +201,7 @@ TEST(ScopedMetrics, DisabledScopesShareOneSinkPerKind)
     EXPECT_FALSE(disabled.with({{"app", "x"}}).enabled());
 
     const std::size_t tasks = 32;
-    ThreadPool pool(4);
-    pool.parallelFor(tasks, [&](std::size_t task) {
+    parallelFor(4, tasks, [&](std::size_t task) {
         const ScopedMetrics scope =
             disabled.with({{"task", std::to_string(task)}});
         const Labels labels = {{"i", std::to_string(task)}};

@@ -22,6 +22,7 @@
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf.hpp"
+#include "obs/tracing.hpp"
 #include "util/json.hpp"
 #include "util/resource.hpp"
 
@@ -151,14 +152,15 @@ TEST(PerfCounts, AddAccumulates)
     EXPECT_TRUE(total.multiplexed);
 }
 
-TEST(PerfRegion, NoOpWithoutProfiler)
+TEST(PerfSpan, NoOpWithoutProfiler)
 {
     ASSERT_EQ(perfProfiler(), nullptr);
     ASSERT_FALSE(perfEnabled());
     PerfCounts into;
     {
-        PerfRegion named("test:region");
-        PerfRegion pointed(&into);
+        Span named("test:region");
+        Span pointed("test:into", {}, &into);
+        spinUntilCpuTimeAdvances();
     }
     EXPECT_EQ(into.taskClockNs, 0u);
 }
@@ -173,8 +175,10 @@ TEST(PerfProfiler, ForcedSoftwareBackendIsHonest)
         << profiler.backendDetail();
 
     ScopedProfiler installed(profiler);
+    // A named aggregate needs no trace recorder.
+    ASSERT_EQ(traceRecorder(), nullptr);
     {
-        PerfRegion region("test:spin");
+        Span region("test:spin");
         spinUntilCpuTimeAdvances();
     }
 
@@ -199,13 +203,15 @@ TEST(PerfProfiler, RegionsAccumulateAndSort)
 
     PerfCounts into;
     {
-        PerfRegion b("test:b");
-        PerfRegion a("test:a");
-        PerfRegion both("test:a", &into);
+        Span b("test:b");
+        Span a("test:a");
+        Span pointed("test:into", {}, &into); // into, not a row
         spinUntilCpuTimeAdvances();
     }
     {
-        PerfRegion a(std::string("test:a")); // dynamic-name ctor
+        // A name from caller-owned storage folds into the same row.
+        const std::string dynamic = "test:a";
+        Span a(dynamic.c_str());
         spinUntilCpuTimeAdvances();
     }
 
@@ -229,7 +235,7 @@ TEST(PerfProfiler, SuccessiveProfilersNeverReuseStaleGroups)
         PerfProfiler profiler;
         ScopedProfiler installed(profiler);
         {
-            PerfRegion region("test:generation");
+            Span region("test:generation");
             spinUntilCpuTimeAdvances();
         }
         const auto regions = profiler.regions();
@@ -245,12 +251,12 @@ TEST(PerfProfiler, WorkerThreadsGetTheirOwnGroups)
     ScopedProfiler installed(profiler);
 
     std::thread worker([] {
-        PerfRegion region("test:worker");
+        Span region("test:worker");
         spinUntilCpuTimeAdvances();
     });
     worker.join();
     {
-        PerfRegion region("test:main");
+        Span region("test:main");
         spinUntilCpuTimeAdvances();
     }
 
@@ -288,7 +294,7 @@ TEST(PerfJson, SoftwareAndHardwareShareOneShape)
     PerfProfiler software;
     ScopedProfiler installed(software);
     {
-        PerfRegion region("test:shape");
+        Span region("test:shape");
         spinUntilCpuTimeAdvances();
     }
     const Json block = perfToJson(software);
@@ -312,7 +318,7 @@ TEST(PerfJson, HardwareBackendWhereAvailable)
     ASSERT_EQ(profiler.backend(), PerfBackend::Hardware);
     ScopedProfiler installed(profiler);
     {
-        PerfRegion region("test:hw");
+        Span region("test:hw");
         spinUntilCpuTimeAdvances();
     }
     const auto regions = profiler.regions();
@@ -333,7 +339,7 @@ TEST(PerfMetrics, RecordsOneSeriesSetPerRegion)
     PerfProfiler profiler;
     ScopedProfiler installed(profiler);
     {
-        PerfRegion region("test:metrics");
+        Span region("test:metrics");
         spinUntilCpuTimeAdvances();
     }
 

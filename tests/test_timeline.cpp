@@ -206,7 +206,7 @@ TEST(TraceRecorder, SpansRecordAndExportWellFormedJson)
     obs::setTraceRecorder(&recorder);
     {
         obs::Span outer("phase", "outer-detail");
-        obs::Span inner("cell-replay", "global-mozilla");
+        obs::Span inner("cells:replay", "global-mozilla");
     }
     { obs::Span plain("inputs"); }
     obs::setTraceRecorder(nullptr);
