@@ -91,8 +91,9 @@ class OnlineManager
      * the table. Call once. */
     void finish(TimeUs now);
 
-    /** Energy spent so far (final after finish()). */
-    const power::EnergyLedger &energy() const
+    /** Energy of the run; available once finish() has closed the
+     * disk's account (panics before). */
+    power::EnergyLedger energy() const
     {
         return disk_.ledger();
     }

@@ -172,6 +172,16 @@ TEST_F(OnlineManagerTest, EnergyAndCountersAccumulate)
         0.0);
 }
 
+TEST_F(OnlineManagerTest, EnergyBeforeFinishPanics)
+{
+    OnlineManager manager(config_);
+    manager.processStart(kProc, 0);
+    manager.onIo(kProc, secondsUs(1), kPcA, 3, 5);
+    EXPECT_DEATH((void)manager.energy(), "before finish");
+    manager.finish(secondsUs(2));
+    EXPECT_GT(manager.energy().total(), 0.0);
+}
+
 TEST_F(OnlineManagerTest, UseAfterFinishPanics)
 {
     OnlineManager manager(config_);

@@ -4,7 +4,8 @@
  * scenario sweeps (TEST_P over seeds and configurations).
  *
  *  - the disk model conserves energy: the ledger equals a
- *    first-principles reconstruction from the same script;
+ *    first-principles reconstruction from the same script, and its
+ *    residency partitions the run;
  *  - the cache never exceeds capacity and its counters balance;
  *  - every policy's accuracy tallies balance against opportunity
  *    counts on randomized access streams;
@@ -12,6 +13,8 @@
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "cache/file_cache.hpp"
 #include "core/signature.hpp"
@@ -29,75 +32,154 @@ class DiskEnergyProperty : public ::testing::TestWithParam<int>
 {
 };
 
+/** A time in [@p lo, @p hi) (exactly @p lo when the span is
+ * empty). */
+TimeUs
+between(Rng &rng, TimeUs lo, TimeUs hi)
+{
+    return lo + static_cast<TimeUs>(rng.uniformReal(0.0, 1.0) *
+                                    static_cast<double>(hi - lo));
+}
+
+/**
+ * A random request/order script, mirrored by hand from the power
+ * model's rules: each state's draw outside transition windows, each
+ * transition's lump sum, and whole gaps classified against the
+ * breakeven time. Gaps park in low power and exit, spin down from
+ * idle or from low power, and take requests inside the spin-down
+ * window; the run finishes (by seed) at the last completion, after a
+ * trailing idle gap, inside a spin-down window or inside a wake.
+ */
 TEST_P(DiskEnergyProperty, LedgerMatchesFirstPrinciples)
 {
     Rng rng(static_cast<std::uint64_t>(GetParam()));
     const power::DiskParams params = power::fujitsuMhf2043at();
     power::PowerManagedDisk disk(params);
 
-    // Random request/shutdown script; mirror the timeline by hand.
     double busy_expected = 0.0;
-    double gap_expected = 0.0; // idle + standby, all gaps
+    double short_expected = 0.0; // gaps <= breakeven
+    double long_expected = 0.0;  // gaps > breakeven
     double cycle_expected = 0.0;
+    const auto close_gap = [&](TimeUs length, double joules) {
+        (length > params.breakevenTime ? long_expected
+                                       : short_expected) += joules;
+    };
+    const auto service = [&](std::uint32_t blocks) {
+        return static_cast<TimeUs>(blocks) * params.serviceTimePerBlock;
+    };
 
-    TimeUs now = 0;
     TimeUs completion = 0;
     for (int i = 0; i < 200; ++i) {
         const auto blocks = static_cast<std::uint32_t>(
             rng.uniformInt(1, 20));
-        const TimeUs gap =
-            secondsUs(rng.uniformReal(0.01, 25.0));
-        now = completion + gap;
+        const TimeUs now =
+            completion + secondsUs(rng.uniformReal(0.01, 25.0));
 
-        // Maybe order a shutdown mid-gap, leaving room for the
-        // spin-down transition to complete inside the gap so the
-        // hand-mirror below stays simple.
-        bool was_shut = false;
-        TimeUs shut_at = 0;
-        if (rng.chance(0.4) && gap > 2 * params.shutdownTime) {
-            shut_at = completion +
-                      secondsUs(rng.uniformReal(
-                          0.0,
-                          usToSeconds(gap -
-                                      2 * params.shutdownTime)));
-            was_shut = disk.shutdown(shut_at);
+        // 0: stay idle; 1: spin down; 2: park in low power, exit on
+        // the request; 3: park, then spin down from low power;
+        // 4: spin down so the request lands in the spin-down window.
+        const auto plan = rng.uniformInt(0, 4);
+        double gap_j = 0.0;
+        TimeUs service_start = now;
+        TimeUs idle_until = now;
+        TimeUs shut_at = -1;
+        if (plan == 2 || plan == 3) {
+            const TimeUs park_at = between(rng, completion, now);
+            ASSERT_TRUE(disk.enterLowPower(park_at));
+            idle_until = park_at;
+            TimeUs parked_until = now;
+            if (plan == 3) {
+                shut_at = between(rng, park_at, now);
+                parked_until = shut_at;
+            } else {
+                cycle_expected += params.lowPowerExitEnergyJ;
+                service_start = now + params.lowPowerExitTime;
+            }
+            gap_j += power::energyJ(params.lowPowerIdleW,
+                                    parked_until - park_at);
+        } else if (plan == 1) {
+            shut_at = between(rng, completion, now);
+            idle_until = shut_at;
+        } else if (plan == 4) {
+            shut_at = std::max(
+                completion, now - between(rng, 1, params.shutdownTime));
+            idle_until = shut_at;
         }
-
-        const TimeUs prev_completion = completion;
-        completion = disk.request(now, blocks);
-
-        if (was_shut) {
-            gap_expected +=
-                power::energyJ(params.idlePowerW,
-                               shut_at - prev_completion) +
-                power::energyJ(params.standbyPowerW,
-                               now - shut_at -
-                                   params.shutdownTime);
+        gap_j += power::energyJ(params.idlePowerW,
+                                idle_until - completion);
+        if (shut_at >= 0) {
+            ASSERT_TRUE(disk.shutdown(shut_at));
+            const TimeUs down_at = shut_at + params.shutdownTime;
+            gap_j += power::energyJ(params.standbyPowerW,
+                                    std::max<TimeUs>(0, now - down_at));
             cycle_expected +=
                 params.shutdownEnergyJ + params.spinUpEnergyJ;
-            busy_expected += power::energyJ(
-                params.busyPowerW,
-                static_cast<TimeUs>(blocks) *
-                    params.serviceTimePerBlock);
-        } else {
-            gap_expected += power::energyJ(
-                params.idlePowerW, now - prev_completion);
-            busy_expected += power::energyJ(
-                params.busyPowerW,
-                static_cast<TimeUs>(blocks) *
-                    params.serviceTimePerBlock);
+            service_start = std::max(now, down_at) + params.spinUpTime;
         }
+        close_gap(now - completion, gap_j);
+        busy_expected +=
+            power::energyJ(params.busyPowerW, service(blocks));
+
+        completion = disk.request(now, blocks);
+        ASSERT_EQ(completion, service_start + service(blocks));
     }
-    disk.finish(completion);
+
+    TimeUs end = completion;
+    switch (GetParam() % 4) {
+      case 0: // at the last completion
+        break;
+      case 1: { // after a trailing idle gap
+        end = completion + secondsUs(rng.uniformReal(0.01, 25.0));
+        close_gap(end - completion,
+                  power::energyJ(params.idlePowerW, end - completion));
+        break;
+      }
+      case 2: { // inside a spin-down window
+        const TimeUs shut_at =
+            completion + secondsUs(rng.uniformReal(0.01, 25.0));
+        ASSERT_TRUE(disk.shutdown(shut_at));
+        end = shut_at + between(rng, 0, params.shutdownTime);
+        cycle_expected += params.shutdownEnergyJ;
+        // A spin-down still running at finish counts to its end.
+        close_gap(shut_at + params.shutdownTime - completion,
+                  power::energyJ(params.idlePowerW,
+                                 shut_at - completion));
+        break;
+      }
+      case 3: { // inside a wake, before service starts
+        const TimeUs shut_at =
+            completion + secondsUs(rng.uniformReal(0.01, 25.0));
+        ASSERT_TRUE(disk.shutdown(shut_at));
+        const TimeUs now = shut_at + secondsUs(rng.uniformReal(0.0, 5.0));
+        const TimeUs down_at = shut_at + params.shutdownTime;
+        const TimeUs start = std::max(now, down_at) + params.spinUpTime;
+        disk.request(now, 1);
+        end = between(rng, now, start);
+        cycle_expected += params.shutdownEnergyJ + params.spinUpEnergyJ;
+        close_gap(now - completion,
+                  power::energyJ(params.idlePowerW,
+                                 shut_at - completion) +
+                      power::energyJ(params.standbyPowerW,
+                                     std::max<TimeUs>(0, now - down_at)));
+        break;
+      }
+    }
+    disk.finish(end);
 
     const auto &ledger = disk.ledger();
     EXPECT_NEAR(ledger.get(power::EnergyCategory::BusyIo),
                 busy_expected, 1e-6);
-    EXPECT_NEAR(ledger.get(power::EnergyCategory::IdleShort) +
-                    ledger.get(power::EnergyCategory::IdleLong),
-                gap_expected, 1e-6);
+    EXPECT_NEAR(ledger.get(power::EnergyCategory::IdleShort),
+                short_expected, 1e-6);
+    EXPECT_NEAR(ledger.get(power::EnergyCategory::IdleLong),
+                long_expected, 1e-6);
     EXPECT_NEAR(ledger.get(power::EnergyCategory::PowerCycle),
                 cycle_expected, 1e-6);
+
+    std::uint64_t residency = 0;
+    for (std::uint64_t us : disk.residencyUs())
+        residency += us;
+    EXPECT_EQ(residency, static_cast<std::uint64_t>(end));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DiskEnergyProperty,

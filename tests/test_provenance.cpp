@@ -2,7 +2,8 @@
  * @file
  * Provenance flight-recorder tests: ring-buffer semantics, binary
  * round-trip and rejection of malformed files, JSONL rendering,
- * name-table lockstep with sim/pred, forensics aggregation, and the
+ * name-table lockstep with sim/pred, forensics aggregation, energy
+ * deltas against two real disks, and the
  * end-to-end reconciliation guarantee — every cell kind writes one
  * log whose outcome counts equal the AccuracyStats the same run
  * reported.
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "obs/provenance.hpp"
+#include "power/disk.hpp"
 #include "pred/predictor.hpp"
 #include "sim/experiment.hpp"
 #include "sim/policy.hpp"
@@ -349,6 +351,64 @@ endsWith(const std::string &path, const std::string &suffix)
     return path.size() >= suffix.size() &&
            path.compare(path.size() - suffix.size(), suffix.size(),
                         suffix) == 0;
+}
+
+/**
+ * Ledger total of a disk that serves a request at 0, spins down at
+ * @p shutdownAt when it is not negative, and at @p end either serves
+ * a request (@p wakes) or finishes; it finishes at its own
+ * completion.
+ */
+double
+scriptedDiskJ(const power::DiskParams &params, TimeUs shutdownAt,
+              TimeUs end, bool wakes)
+{
+    power::PowerManagedDisk disk(params);
+    disk.request(0, 1);
+    if (shutdownAt >= 0) {
+        EXPECT_TRUE(disk.shutdown(shutdownAt));
+    }
+    disk.finish(wakes ? disk.request(end, 1) : end);
+    return disk.ledger().total();
+}
+
+TEST(ProvenanceEnergyDelta, EqualsTheLedgerDifferenceOfTwoDisks)
+{
+    // A record's energy delta is what its spin-down saved: the
+    // ledger of a disk idling through the gap minus that of one
+    // spinning down at the record's shutdown time — for gaps that
+    // end with a request and trailing gaps, and for off-times inside
+    // and past the spin-down window.
+    const power::DiskParams params = power::fujitsuMhf2043at();
+    const TimeUs shutdown_at = secondsUs(2.0);
+    for (const TimeUs end : {secondsUs(40.0), secondsUs(2.3)}) {
+        for (const bool trailing : {false, true}) {
+            obs::ProvenanceRecorder recorder;
+            sim::ProvenanceObserver observer(recorder, params);
+            sim::ExecutionInput input;
+            input.endTime = trailing ? end : end + secondsUs(10.0);
+            observer.onExecutionBegin(input);
+            sim::IdlePeriodRecord record;
+            record.pid = 7;
+            record.start = 0;
+            record.end = end;
+            record.shutdownAt = shutdown_at;
+            record.source = pred::DecisionSource::Primary;
+            record.outcome = sim::IdleOutcome::HitPrimary;
+            observer.onIdlePeriod(record);
+
+            const std::vector<obs::ProvenanceRecord> records =
+                recorder.snapshot();
+            ASSERT_EQ(records.size(), 1u);
+            const double idling =
+                scriptedDiskJ(params, -1, end, !trailing);
+            const double cycling =
+                scriptedDiskJ(params, shutdown_at, end, !trailing);
+            EXPECT_NEAR(records[0].energyDeltaJ, idling - cycling,
+                        1e-9 * idling)
+                << "end " << end << (trailing ? " trailing" : "");
+        }
+    }
 }
 
 TEST(ProvenanceReconciliation, EveryCellWritesOneLogMatchingItsStats)

@@ -279,10 +279,10 @@ TEST(RunResult, MergeAccumulates)
     RunResult a, b;
     a.shutdowns = 2;
     a.accuracy.opportunities = 3;
-    a.energy.add(power::EnergyCategory::BusyIo, 1.0);
+    a.energy = power::EnergyLedger({1.0, 0.0, 0.0, 0.0});
     b.shutdowns = 1;
     b.accuracy.opportunities = 4;
-    b.energy.add(power::EnergyCategory::BusyIo, 2.0);
+    b.energy = power::EnergyLedger({2.0, 0.0, 0.0, 0.0});
     a.merge(b);
     EXPECT_EQ(a.shutdowns, 3u);
     EXPECT_EQ(a.accuracy.opportunities, 7u);
