@@ -302,11 +302,24 @@ enum class ReplayObserver {
     Metrics,    ///< a MetricsObserver (per-execution totals only)
 };
 
+/** A provenance sink that only counts its records. */
+class CountingSink final : public obs::ProvenanceSink
+{
+  public:
+    void write(const obs::ProvenanceRecord &record) override
+    {
+        benchmark::DoNotOptimize(&record);
+        ++records;
+    }
+
+    std::uint64_t records = 0;
+};
+
 /** One observer of each ReplayObserver kind. */
 struct ReplayObservers
 {
     explicit ReplayObservers(const sim::SimParams &params)
-        : provenance(recorder, params.disk),
+        : provenance(sink, params.disk),
           metrics(obs::ScopedMetrics(&registry, {{"app", "bm"}}),
                   params.breakeven())
     {
@@ -323,7 +336,7 @@ struct ReplayObservers
         return sim::nullObserver();
     }
 
-    obs::ProvenanceRecorder recorder; ///< sinkless: a flight recorder
+    CountingSink sink;
     sim::ProvenanceObserver provenance;
     obs::MetricsRegistry registry;
     sim::MetricsObserver metrics;
@@ -355,35 +368,16 @@ BENCHMARK(BM_IdleSinkClassify<ReplayObserver::Metrics>)
 BENCHMARK(BM_IdleSinkClassify<ReplayObserver::Provenance>)
     ->Name("BM_IdleSinkClassify/provenance");
 
-/**
- * Provenance flight recorder: the raw ring append. The end-to-end
- * recorder cost per classified idle period is
- * BM_IdleSinkClassify/provenance (sink-less ring, flight-recorder
- * mode) against BM_IdleSinkClassify/null; the default
- * provenance-off path pays only a null pointer test in the
- * predictor.
- */
-void
-BM_ProvenanceRecorderAppend(benchmark::State &state)
-{
-    obs::ProvenanceRecorder recorder(
-        static_cast<std::size_t>(state.range(0)));
-    obs::ProvenanceRecord record;
-    record.signature = 0x1234;
-    record.flags = obs::kProvHasDecision;
-    for (auto _ : state) {
-        record.startUs += 1000;
-        record.endUs = record.startUs + 500;
-        recorder.append(record);
-    }
-    benchmark::DoNotOptimize(recorder.appended());
-}
-BENCHMARK(BM_ProvenanceRecorderAppend)->Arg(4096);
+// The provenance cost per classified idle period is
+// BM_IdleSinkClassify/provenance (a ProvenanceObserver building each
+// record and handing it to a counting sink) against
+// BM_IdleSinkClassify/null; the default provenance-off path pays
+// only a null pointer test in the predictor.
 
 /**
  * The replay kernel: one full execution replayed through
  * SimulationKernel per iteration, with and without an attached
- * observer. A ProvenanceObserver over a sinkless recorder takes
+ * observer. A ProvenanceObserver over a counting sink takes
  * per-event callbacks and replays on the instrumented loop, one
  * record per classified period; a MetricsObserver takes none,
  * so metrics runs the uninstrumented loop and differs from null
@@ -462,11 +456,8 @@ BM_KernelTraceReplay(benchmark::State &state)
     sim::SimulationKernel kernel(params, observers.pick(Kind));
     sim::PolicySession session(sim::policyByName("PCAP"));
     sim::GlobalDriver driver(session);
-    if (Kind == ReplayObserver::Provenance) {
-        session.setProvenanceTap(&observers.provenance);
-        observers.provenance.bindDecisionPid(
-            [&driver] { return driver.decisionPid(); });
-    }
+    if (Kind == ReplayObserver::Provenance)
+        observers.provenance.bind(session, &driver);
     for (auto _ : state)
         benchmark::DoNotOptimize(kernel.runExecution(input, driver));
     state.counters["per_access"] = benchmark::Counter(

@@ -1011,8 +1011,8 @@ bucketLabel(TimeUs upper, TimeUs previous)
 }
 
 /**
- * Replay global PCAP over @p app with the provenance recorder
- * attached, draining every classified period's record into
+ * Replay global PCAP over @p app with a provenance observer
+ * attached, writing every classified period's record into
  * @p sink — the in-memory source of the idle_histogram and
  * signature_attribution reports.
  */
@@ -1021,17 +1021,12 @@ replayGlobalPcap(ReportContext &ctx, const std::string &app,
                  obs::ProvenanceSink &sink)
 {
     const sim::SimParams &sim_params = ctx.eval.config().sim;
-    obs::ProvenanceRecorder recorder;
-    recorder.addSink(&sink);
-    sim::ProvenanceObserver observer(recorder, sim_params.disk);
+    sim::ProvenanceObserver observer(sink, sim_params.disk);
     sim::SimulationKernel kernel(sim_params, observer);
     sim::PolicySession session(sim::policyByName("PCAP"));
-    session.setProvenanceTap(&observer);
     sim::GlobalDriver driver(session);
-    observer.bindDecisionPid(
-        [&driver] { return driver.decisionPid(); });
+    observer.bind(session, &driver);
     kernel.run(ctx.eval.inputs(app), driver);
-    recorder.close();
 }
 
 /** Idle-length buckets per outcome, folded from provenance

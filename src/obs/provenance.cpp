@@ -234,90 +234,6 @@ provenanceSourceName(std::uint8_t source)
     }
 }
 
-ProvenanceRecorder::ProvenanceRecorder(std::size_t capacity)
-    : capacity_(capacity != 0 ? capacity : 1)
-{
-    ring_.reserve(std::min<std::size_t>(capacity_, 4096));
-}
-
-void
-ProvenanceRecorder::addSink(ProvenanceSink *sink)
-{
-    if (!sink)
-        fatal("ProvenanceRecorder::addSink: sink must not be null");
-    if (appended_ != 0)
-        fatal("ProvenanceRecorder::addSink: sinks must be attached "
-              "before the first append");
-    sinks_.push_back(sink);
-}
-
-void
-ProvenanceRecorder::append(const ProvenanceRecord &record)
-{
-    if (closed_)
-        fatal("ProvenanceRecorder::append after close");
-    ++appended_;
-    if (count_ < capacity_) {
-        const std::size_t slot = (start_ + count_) % capacity_;
-        if (slot < ring_.size())
-            ring_[slot] = record;
-        else
-            ring_.push_back(record);
-        ++count_;
-    } else if (!sinks_.empty()) {
-        // Batching mode: drain so nothing is lost, then buffer.
-        flush();
-        ring_[0] = record;
-        start_ = 0;
-        count_ = 1;
-    } else {
-        // Flight-recorder mode: overwrite the oldest record.
-        ring_[start_] = record;
-        start_ = (start_ + 1) % capacity_;
-        ++overwritten_;
-    }
-}
-
-void
-ProvenanceRecorder::flush()
-{
-    if (sinks_.empty()) {
-        // Nothing can consume the records; keep them buffered so the
-        // newest window stays inspectable via snapshot().
-        return;
-    }
-    for (std::size_t i = 0; i < count_; ++i) {
-        const ProvenanceRecord &record =
-            ring_[(start_ + i) % capacity_];
-        for (ProvenanceSink *sink : sinks_)
-            sink->write(record);
-        ++flushed_;
-    }
-    start_ = 0;
-    count_ = 0;
-}
-
-void
-ProvenanceRecorder::close()
-{
-    if (closed_)
-        return;
-    flush();
-    for (ProvenanceSink *sink : sinks_)
-        sink->close();
-    closed_ = true;
-}
-
-std::vector<ProvenanceRecord>
-ProvenanceRecorder::snapshot() const
-{
-    std::vector<ProvenanceRecord> out;
-    out.reserve(count_);
-    for (std::size_t i = 0; i < count_; ++i)
-        out.push_back(ring_[(start_ + i) % capacity_]);
-    return out;
-}
-
 BinaryProvenanceWriter::BinaryProvenanceWriter(const std::string &path)
     : os_(path, std::ios::binary | std::ios::trunc), path_(path)
 {

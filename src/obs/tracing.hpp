@@ -7,8 +7,7 @@
  * seconds — workload generation, per-cell replay, report rendering,
  * fleet shards, thread-pool tasks. RAII Spans record into per-thread
  * fixed-capacity buffers (single-writer, no locks on the hot path,
- * overflow drops the newest spans and counts them — the same
- * flight-recorder discipline as the provenance ring) and the whole
+ * overflow drops the newest spans and counts them) and the whole
  * recorder serializes to Chrome trace-event JSON, loadable in
  * Perfetto or chrome://tracing.
  *

@@ -1,6 +1,5 @@
 #include "sim/cell_recording.hpp"
 
-#include "sim/drivers.hpp"
 #include "sim/policy.hpp"
 
 namespace pcap::sim {
@@ -12,12 +11,10 @@ CellRecording::CellRecording(const power::DiskParams &disk,
     : meta_(std::move(meta))
 {
     if (!provenanceDir.empty()) {
-        recorder_ = std::make_unique<obs::ProvenanceRecorder>();
         binary_ = std::make_unique<obs::BinaryProvenanceWriter>(
             provenanceDir + "/" + meta_.cell + ".prov.bin");
-        recorder_->addSink(binary_.get());
         provenance_ =
-            std::make_unique<ProvenanceObserver>(*recorder_, disk);
+            std::make_unique<ProvenanceObserver>(*binary_, disk);
     }
     if (!timelineDir.empty()) {
         timeline_ = std::make_unique<TimelineObserver>(disk, trackDisk);
@@ -37,28 +34,20 @@ CellRecording::observers() const
 }
 
 void
-CellRecording::bindSession(PolicySession &session)
+CellRecording::bind(PolicySession &session, const GlobalDriver *driver)
 {
     if (provenance_)
-        session.setProvenanceTap(provenance_.get());
+        provenance_->bind(session, driver);
     if (timeline_)
         timeline_->bindTableSize(
             [&session] { return session.tableEntries(); });
 }
 
 void
-CellRecording::bindDriver(const GlobalDriver &driver)
-{
-    if (provenance_)
-        provenance_->bindDecisionPid(
-            [&driver] { return driver.decisionPid(); });
-}
-
-void
 CellRecording::finish()
 {
-    if (recorder_)
-        recorder_->close();
+    if (binary_)
+        binary_->close();
     if (timeline_) {
         obs::writeTimelineJson(timeline_->timeline(), meta_,
                                timelineBase_ + ".timeline.json");

@@ -1,10 +1,10 @@
 /**
  * @file
  * The per-cell file artifacts of an instrumented replay, assembled
- * in one place: the provenance flight recorder draining into
- * <stem>.prov.bin, and the simulated-time timeline serialized to
+ * in one place: the provenance observer writing <stem>.prov.bin,
+ * and the simulated-time timeline serialized to
  * <stem>.timeline.{json,csv}. ParallelEvaluation's cells and
- * FleetDriver's drill-downs both record through a CellRecording.
+ * FleetDriver's recorded hosts both record through a CellRecording.
  */
 
 #ifndef PCAP_SIM_CELL_RECORDING_HPP
@@ -49,20 +49,16 @@ class CellRecording
     /** The observers to attach (provenance, then timeline). */
     std::vector<SimObserver *> observers() const;
 
-    /** Route @p session's decision events into the provenance
-     * recorder and sample its table size into the timeline. The
-     * session must outlive the replay. */
-    void bindSession(PolicySession &session);
+    /** Bind the provenance observer to @p session and @p driver
+     * (ProvenanceObserver::bind) and sample the session's table size
+     * into the timeline. Both must outlive the replay. */
+    void bind(PolicySession &session,
+              const GlobalDriver *driver = nullptr);
 
-    /** Attribute merged-stream records to the pid holding
-     * @p driver's global decision. */
-    void bindDriver(const GlobalDriver &driver);
-
-    /** Drain and close the .prov.bin, then write the timeline. */
+    /** Close the .prov.bin, then write the timeline. */
     void finish();
 
   private:
-    std::unique_ptr<obs::ProvenanceRecorder> recorder_;
     std::unique_ptr<obs::BinaryProvenanceWriter> binary_;
     std::unique_ptr<ProvenanceObserver> provenance_;
     std::unique_ptr<TimelineObserver> timeline_;

@@ -55,7 +55,7 @@ class GlobalDriver final : public PolicyDriver
     bool parkLowPower() const override { return park_; }
 
     /** Pid holding the current global decision — the provenance
-     * recorder's attribution query (see bindDecisionPid). */
+     * observer's attribution query (see ProvenanceObserver::bind). */
     Pid decisionPid() const
     {
         return gsp_ ? gsp_->globalDecisionDetailed().pid : -1;

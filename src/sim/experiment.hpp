@@ -233,8 +233,8 @@ struct ParallelOptions
     std::string cacheDir;
 
     /**
-     * When non-empty, every simulation cell runs with the provenance
-     * flight recorder attached and writes one record per classified
+     * When non-empty, every simulation cell runs with a provenance
+     * observer attached and writes one record per classified
      * idle period into this directory (created if needed), one
      * binary file per cell named <stem>.prov.bin (see cellFileStem;
      * base and ideal cells have no policy part and no decisions).

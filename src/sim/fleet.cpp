@@ -7,6 +7,7 @@
 #include <iomanip>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -221,6 +222,15 @@ feedAlertSketches(obs::AlertEngine &alerts, const ShardAccum &accum,
     }
 }
 
+/** "host<id>-<policy>-<hash16>": a recorded host cell's artifact
+ * stem. */
+std::string
+hostCellStem(std::uint64_t host, const PolicyConfig &policy)
+{
+    return "host" + std::to_string(host) + "-" + policy.label + "-" +
+           policyHashLabel(policy);
+}
+
 /** "mozilla+netscape": the host's app mix as one label. */
 std::string
 appMixLabel(const workload::HostProfile &profile)
@@ -321,7 +331,8 @@ FleetDriver::FleetDriver(workload::FleetConfig fleet, SimParams sim,
 
 HostCellResult
 FleetDriver::runHost(const workload::HostProfile &profile,
-                     const std::vector<PolicyConfig> &policies) const
+                     const std::vector<PolicyConfig> &policies,
+                     const std::string &recordDir) const
 {
     HostCellResult cell;
     cell.host = profile.host;
@@ -342,18 +353,65 @@ FleetDriver::runHost(const workload::HostProfile &profile,
     BaseDriver base;
     SimulationKernel kernel(sim_); // null observer: the fast path
 
+    /** One policy's recorded replay: a CellRecording bound to the
+     * policy's session and a kernel observing it. Members
+     * initialize in declaration order; the tee and kernel hold
+     * references into the earlier ones, so a RecordedPolicy never
+     * moves. */
+    struct RecordedPolicy
+    {
+        CellRecording recording;
+        TeeObserver tee;
+        SimulationKernel kernel;
+
+        RecordedPolicy(const SimParams &sim, obs::TimelineMeta meta,
+                       const std::string &dir)
+            : recording(sim.disk, /*trackDisk=*/true, std::move(meta),
+                        dir, dir),
+              tee(recording.observers()), kernel(sim, tee)
+        {
+        }
+    };
+    std::vector<std::unique_ptr<RecordedPolicy>> recorded;
+    if (!recordDir.empty()) {
+        const std::string app = appMixLabel(profile);
+        cell.replayPerf.resize(policies.size());
+        for (std::size_t p = 0; p < policies.size(); ++p) {
+            recorded.push_back(std::make_unique<RecordedPolicy>(
+                sim_,
+                TimelineObserver::makeMeta(
+                    hostCellStem(profile.host, policies[p]), "fleet",
+                    app, policies[p].label),
+                recordDir));
+            recorded[p]->recording.bind(sessions[p], &drivers[p]);
+        }
+    }
+
     HostExecutionSource source(profile, cacheParams_);
     while (const ExecutionInput *input = source.next()) {
         ++cell.executions;
         cell.accesses += input->accesses.size();
         cell.simSpanUs += static_cast<std::uint64_t>(input->endTime);
-        for (std::size_t p = 0; p < policies.size(); ++p)
+        for (std::size_t p = 0; p < policies.size(); ++p) {
+            if (recorded.empty()) {
+                cell.policyRuns[p].merge(
+                    kernel.runExecution(*input, drivers[p]));
+                continue;
+            }
+            // Per-policy counter delta over the recorded replay:
+            // which policy's simulation is cycle-hungry. Zero-cost
+            // when no profiler is installed.
+            obs::Span perf("fleet:drilldown-replay", policies[p].label,
+                           &cell.replayPerf[p]);
             cell.policyRuns[p].merge(
-                kernel.runExecution(*input, drivers[p]));
+                recorded[p]->kernel.runExecution(*input, drivers[p]));
+        }
         cell.base.merge(kernel.runExecution(*input, base));
     }
     for (std::size_t p = 0; p < policies.size(); ++p)
         cell.tableEntries[p] = sessions[p].tableEntries();
+    for (const std::unique_ptr<RecordedPolicy> &policy : recorded)
+        policy->recording.finish();
     return cell;
 }
 
@@ -365,96 +423,33 @@ FleetDriver::drillHost(const workload::HostProfile &profile,
     obs::Span span("fleet:drilldown",
                    "host " + std::to_string(profile.host));
     std::filesystem::create_directories(dir);
+    const HostCellResult cell = runHost(profile, policies, dir);
 
     HostDrilldown drill;
     drill.host = profile.host;
     drill.seed = profile.seed;
     drill.thinkTimeScale = profile.thinkTimeScale;
-
-    const std::string app = appMixLabel(profile);
-
-    /** One policy's fully-instrumented cell: a CellRecording bound
-     * to the host cell's persistent session. Fields initialize in
-     * declaration order — the tee and kernel come last because they
-     * hold references into the earlier members. */
-    struct DrillCell
-    {
-        std::string stem;
-        PolicySession session;
-        GlobalDriver driver;
-        CellRecording recording;
-        TeeObserver tee;
-        SimulationKernel kernel;
-
-        DrillCell(std::string cellStem, const std::string &app,
-                  const PolicyConfig &policy, const SimParams &sim,
-                  const std::string &dir)
-            : stem(std::move(cellStem)), session(policy),
-              driver(session),
-              recording(sim.disk, /*trackDisk=*/true,
-                        TimelineObserver::makeMeta(stem, "fleet", app,
-                                                   policy.label),
-                        dir, dir),
-              tee(recording.observers()), kernel(sim, tee)
-        {
-            recording.bindSession(session);
-            recording.bindDriver(driver);
-        }
-    };
-
-    // deque: cells hold internal references, so they must not move.
-    std::deque<DrillCell> cells;
-    for (const PolicyConfig &policy : policies) {
-        cells.emplace_back("host" + std::to_string(profile.host) +
-                               "-" + policy.label + "-" +
-                               policyHashLabel(policy),
-                           app, policy, sim_, dir);
-    }
-    BaseDriver base;
-    SimulationKernel baseKernel(sim_); // uninstrumented baseline
-
-    std::vector<RunResult> runs(policies.size());
-    // Per-policy counter deltas over the drilled replay: which
-    // policy's simulation is cycle-hungry, and how its IPC compares
-    // across policies on the same host workload. Zero-cost when no
-    // profiler is installed.
-    std::vector<obs::PerfCounts> perfTotals(policies.size());
-    RunResult baseRun;
-    HostExecutionSource source(profile, cacheParams_);
-    while (const ExecutionInput *input = source.next()) {
-        ++drill.executions;
-        drill.accesses += input->accesses.size();
-        drill.simSpanUs +=
-            static_cast<std::uint64_t>(input->endTime);
-        for (std::size_t p = 0; p < policies.size(); ++p) {
-            obs::Span perf("fleet:drilldown-replay",
-                           policies[p].label, &perfTotals[p]);
-            runs[p].merge(
-                cells[p].kernel.runExecution(*input, cells[p].driver));
-        }
-        baseRun.merge(baseKernel.runExecution(*input, base));
-    }
-    drill.baseEnergyJ = baseRun.energy.total();
-
+    drill.executions = cell.executions;
+    drill.accesses = cell.accesses;
+    drill.simSpanUs = cell.simSpanUs;
+    drill.baseEnergyJ = cell.base.energy.total();
     for (std::size_t p = 0; p < policies.size(); ++p) {
-        DrillCell &cell = cells[p];
-        cell.recording.finish();
-
+        const RunResult &run = cell.policyRuns[p];
         DrilldownPolicy summary;
         summary.policy = policies[p].label;
-        summary.stem = cell.stem;
-        summary.energyJ = runs[p].energy.total();
+        summary.stem = hostCellStem(profile.host, policies[p]);
+        summary.energyJ = run.energy.total();
         summary.savedFraction =
             drill.baseEnergyJ > 0.0
                 ? 1.0 - summary.energyJ / drill.baseEnergyJ
                 : 0.0;
-        summary.hitFraction = runs[p].accuracy.hitFraction();
-        summary.missFraction = runs[p].accuracy.missFraction();
-        summary.shutdowns = runs[p].shutdowns;
-        summary.spinUps = runs[p].spinUps;
-        summary.tableEntries = cell.session.tableEntries();
+        summary.hitFraction = run.accuracy.hitFraction();
+        summary.missFraction = run.accuracy.missFraction();
+        summary.shutdowns = run.shutdowns;
+        summary.spinUps = run.spinUps;
+        summary.tableEntries = cell.tableEntries[p];
         if (obs::perfEnabled()) {
-            summary.perf = perfTotals[p];
+            summary.perf = cell.replayPerf[p];
             summary.hasPerf = true;
         }
         drill.policies.push_back(std::move(summary));

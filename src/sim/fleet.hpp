@@ -117,6 +117,10 @@ struct HostCellResult
     /** Learned-state size per policy after the host's last
      * execution, parallel to policyRuns. */
     std::vector<std::size_t> tableEntries;
+
+    /** Counter delta over each policy's replay, parallel to
+     * policyRuns; filled only by a recording runHost. */
+    std::vector<obs::PerfCounts> replayPerf;
 };
 
 /** Across-hosts aggregate of one policy. */
@@ -256,10 +260,10 @@ struct FleetOptions
      * When non-empty: after aggregation, re-simulate every
      * MAD-flagged outlier host with full instrumentation
      * (provenance + timeline per policy) into this
-     * directory — the deterministic drill-down pass. Re-runs are
-     * bit-identical to pass 1 because a HostProfile is a pure
-     * function of (fleet config, host index) and observers never
-     * influence the replay.
+     * directory — the deterministic drill-down pass. Re-runs go
+     * through runHost, pass 1's loop, and are bit-identical to it
+     * because a HostProfile is a pure function of (fleet config,
+     * host index) and observers never influence the replay.
      */
     std::string drilldownDir;
 };
@@ -284,20 +288,28 @@ class FleetDriver
     FleetReport run(const std::vector<PolicyConfig> &policies) const;
 
     /**
-     * One host cell, streamed generate-replay-discard. Public for
-     * parity tests: a pure single-app profile with scale 1.0 must be
-     * RunResult-field-equal to the materialized Evaluation path.
+     * One host cell, streamed generate-replay-discard: the only loop
+     * over a host's executions. Public for parity tests: a pure
+     * single-app profile with scale 1.0 must be RunResult-field-equal
+     * to the materialized Evaluation path.
+     *
+     * With a non-empty @p recordDir (which must exist), each policy
+     * replays instrumented into a CellRecording there — one
+     * provenance log and timeline per policy, stems
+     * "host<id>-<policy>-<hash16>" — and replayPerf holds each
+     * policy's counter delta. Observers are passive, so the result
+     * is the same either way.
      */
     HostCellResult
     runHost(const workload::HostProfile &profile,
-            const std::vector<PolicyConfig> &policies) const;
+            const std::vector<PolicyConfig> &policies,
+            const std::string &recordDir = {}) const;
 
     /**
-     * Re-simulate one host with full instrumentation, writing one
-     * provenance log and timeline per policy into @p dir (stems "host<id>-<policy>-<hash16>"). The replay
-     * is bit-identical to runHost's — observers are passive — so a
-     * drilled host's artifacts answer "why was pass 1's number what
-     * it was". Public for the drill-down determinism tests.
+     * Re-simulate one host through runHost, recording into @p dir,
+     * and summarize it. Since the replay is runHost's, a drilled
+     * host's artifacts answer "why was pass 1's number what it was".
+     * Public for the drill-down determinism tests.
      */
     HostDrilldown
     drillHost(const workload::HostProfile &profile,

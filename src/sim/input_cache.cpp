@@ -109,8 +109,11 @@ readExecutionInputs(std::istream &is, const WorkloadKey &key,
     std::uint64_t count = 0;
     if (!trace::getLe(is, count) || count > (1u << 20))
         return "bad execution count";
+    // Untrusted counts: reserve at most what a small entry needs and
+    // let a larger one grow with the records actually read.
+    constexpr std::uint64_t kReserveCap = 64;
     out.clear();
-    out.reserve(count);
+    out.reserve(std::min(count, kReserveCap));
     for (std::uint64_t i = 0; i < count; ++i) {
         ExecutionInput input;
         if (!trace::getString(is, input.app))
@@ -146,7 +149,7 @@ readExecutionInputs(std::istream &is, const WorkloadKey &key,
         std::uint64_t spans = 0;
         if (!trace::getLe(is, spans) || spans > (1u << 20))
             return "bad span count of execution " + std::to_string(i);
-        input.processes.reserve(spans);
+        input.processes.reserve(std::min(spans, kReserveCap));
         for (std::uint64_t s = 0; s < spans; ++s) {
             ProcessSpan span;
             if (!trace::getLe(is, span.pid) ||

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 
+#include "sim/drivers.hpp"
 #include "sim/input.hpp"
 #include "sim/kernel.hpp"
+#include "sim/policy.hpp"
 #include "util/logging.hpp"
 
 namespace pcap::sim {
@@ -159,16 +161,18 @@ static_assert(obs::kProvenancePathTail == core::kProvenancePathDepth,
               "provenance record and core tap disagree on the path "
               "tail depth");
 
-ProvenanceObserver::ProvenanceObserver(
-    obs::ProvenanceRecorder &recorder, const power::DiskParams &disk)
-    : recorder_(recorder), disk_(disk)
+ProvenanceObserver::ProvenanceObserver(obs::ProvenanceSink &sink,
+                                       const power::DiskParams &disk)
+    : sink_(sink), disk_(disk)
 {
 }
 
 void
-ProvenanceObserver::bindDecisionPid(std::function<Pid()> query)
+ProvenanceObserver::bind(PolicySession &session,
+                         const GlobalDriver *driver)
 {
-    decisionPid_ = std::move(query);
+    session.setProvenanceTap(this);
+    driver_ = driver;
 }
 
 void
@@ -195,7 +199,7 @@ ProvenanceObserver::onShutdownLatched(TimeUs at,
     (void)at;
     (void)source;
     latchValid_ = true;
-    latchPid_ = decisionPid_ ? decisionPid_() : -1;
+    latchPid_ = driver_ ? driver_->decisionPid() : -1;
     latchHasEvent_ = false;
     auto it = latest_.find(latchPid_);
     if (it != latest_.end()) {
@@ -253,10 +257,10 @@ ProvenanceObserver::onIdlePeriod(const IdlePeriodRecord &record)
         pid = latchPid_;
         if (latchHasEvent_)
             event = &latchEvent_;
-    } else if (decisionPid_) {
+    } else if (driver_) {
         // No shutdown latched in this gap: attribute to the live
         // holder of the global decision.
-        pid = decisionPid_();
+        pid = driver_->decisionPid();
         auto it = latest_.find(pid);
         if (it != latest_.end())
             event = &it->second;
@@ -274,7 +278,7 @@ ProvenanceObserver::onIdlePeriod(const IdlePeriodRecord &record)
             disk_, record.end - record.shutdownAt,
             record.end != execEnd_);
     }
-    recorder_.append(out);
+    sink_.write(out);
 }
 
 // ---------------------------------------------------------------

@@ -8,7 +8,7 @@
  * boundaries, classified idle periods, and shutdown orders
  * issued/ignored. Observers never influence the simulation — the
  * kernel produces bit-identical results whether a NullObserver or
- * the provenance recorder is attached. An observer
+ * the provenance observer is attached. An observer
  * that needs only per-execution totals (MetricsObserver) opts out
  * of the per-event callbacks, and the kernel then replays on its
  * uninstrumented path.
@@ -36,6 +36,8 @@
 namespace pcap::sim {
 
 struct ExecutionInput;
+class GlobalDriver;
+class PolicySession;
 struct RunResult;
 
 /**
@@ -217,7 +219,7 @@ SimObserver &nullObserver();
 
 /**
  * Fans every callback out to a list of observers, in order — e.g. a
- * provenance recorder plus a metrics collector on the same run. It needs
+ * provenance observer plus a metrics collector on the same run. It needs
  * per-event callbacks when any child does, and passes on the idle
  * tally of the one child that keeps one. Null entries, and two
  * children with idle tallies, are rejected; the observers must
@@ -253,18 +255,18 @@ class TeeObserver final : public SimObserver
 };
 
 /**
- * The provenance flight recorder's join point: correlates the PCAP
- * predictor's decision events (via core::ProvenanceTap) with the
- * kernel's classified idle periods (via SimObserver) and appends one
- * obs::ProvenanceRecord per period to the recorder.
+ * The provenance join point: correlates the PCAP predictor's
+ * decision events (via core::ProvenanceTap) with the kernel's
+ * classified idle periods (via SimObserver) and writes one
+ * obs::ProvenanceRecord per period straight to its sink.
  *
  * Attribution: per-process records (LocalDriver) join on the
  * record's own pid — classification precedes the predictor update
  * for the terminating access, so the stored decision event is still
  * the gap-opening one. Merged-stream records join through the
- * shutdown latch (the pid holding the winning global decision when
- * the kernel latched the spin-down, via bindDecisionPid); unlatched
- * merged gaps fall back to the live winner at classification time.
+ * shutdown latch (the pid holding the bound GlobalDriver's decision
+ * when the kernel latched the spin-down); unlatched merged gaps fall
+ * back to the live winner at classification time.
  *
  * The energy delta per shutdown period is what the spin-down was
  * worth against leaving the disk idling (power::shutdownSavingJ over
@@ -275,13 +277,20 @@ class ProvenanceObserver final : public SimObserver,
                                  public core::ProvenanceTap
 {
   public:
-    ProvenanceObserver(obs::ProvenanceRecorder &recorder,
+    /** @param sink Receives every record; must outlive the
+     * observer. */
+    ProvenanceObserver(obs::ProvenanceSink &sink,
                        const power::DiskParams &disk);
 
-    /** Bind the query for the pid holding the current global
-     * decision (GlobalDriver::decisionPid). Optional; without it
-     * merged-stream records carry pid -1. */
-    void bindDecisionPid(std::function<Pid()> query);
+    /**
+     * The one place a replay is wired to provenance: route
+     * @p session's decision events (and table evictions) to this
+     * observer and, when @p driver is given, attribute merged-stream
+     * records to the pid holding its global decision (without one
+     * they carry pid -1). Both must outlive the replay.
+     */
+    void bind(PolicySession &session,
+              const GlobalDriver *driver = nullptr);
 
     // SimObserver hooks
     void onExecutionBegin(const ExecutionInput &input) override;
@@ -298,9 +307,9 @@ class ProvenanceObserver final : public SimObserver,
     static void fillDecision(obs::ProvenanceRecord &out,
                              const core::PcapDecisionEvent &event);
 
-    obs::ProvenanceRecorder &recorder_;
+    obs::ProvenanceSink &sink_;
     power::DiskParams disk_;
-    std::function<Pid()> decisionPid_;
+    const GlobalDriver *driver_ = nullptr;
 
     /** Latest decision event per process, current execution. */
     std::unordered_map<Pid, core::PcapDecisionEvent> latest_;

@@ -1,5 +1,6 @@
 #include "trace/io.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -102,26 +103,35 @@ readDiskAccesses(std::istream &is, std::vector<DiskAccess> &out)
     std::uint64_t count = 0;
     if (!getLe(is, count) || count > (1u << 26))
         return "bad access count";
-    std::vector<unsigned char> buffer(count * kAccessRecordBytes);
-    if (!is.read(reinterpret_cast<char *>(buffer.data()),
-                 static_cast<std::streamsize>(buffer.size())))
-        return "truncated access records";
+    // The count is untrusted: read bounded chunks, so memory grows
+    // with the bytes actually present rather than with the count.
+    constexpr std::uint64_t kChunkRecords = 1u << 16;
+    std::vector<unsigned char> buffer(
+        std::min(count, kChunkRecords) * kAccessRecordBytes);
     out.clear();
-    out.resize(count);
-    const unsigned char *p = buffer.data();
-    for (std::uint64_t i = 0; i < count; ++i) {
-        DiskAccess &access = out[i];
-        std::uint8_t is_write = 0;
-        unpackLe<std::int64_t>(p, access.time);
-        unpackLe<std::int32_t>(p, access.pid);
-        unpackLe<std::uint32_t>(p, access.pc);
-        unpackLe<std::int32_t>(p, access.fd);
-        unpackLe<std::uint32_t>(p, access.file);
-        unpackLe<std::uint8_t>(p, is_write);
-        unpackLe<std::uint32_t>(p, access.blocks);
-        if (is_write > 1)
-            return "bad isWrite flag at access " + std::to_string(i);
-        access.isWrite = is_write != 0;
+    out.reserve(std::min(count, kChunkRecords));
+    for (std::uint64_t first = 0; first < count;) {
+        const std::uint64_t n = std::min(count - first, kChunkRecords);
+        if (!is.read(reinterpret_cast<char *>(buffer.data()),
+                     static_cast<std::streamsize>(n * kAccessRecordBytes)))
+            return "truncated access records";
+        out.resize(first + n);
+        const unsigned char *p = buffer.data();
+        for (std::uint64_t i = first; i < first + n; ++i) {
+            DiskAccess &access = out[i];
+            std::uint8_t is_write = 0;
+            unpackLe<std::int64_t>(p, access.time);
+            unpackLe<std::int32_t>(p, access.pid);
+            unpackLe<std::uint32_t>(p, access.pc);
+            unpackLe<std::int32_t>(p, access.fd);
+            unpackLe<std::uint32_t>(p, access.file);
+            unpackLe<std::uint8_t>(p, is_write);
+            unpackLe<std::uint32_t>(p, access.blocks);
+            if (is_write > 1)
+                return "bad isWrite flag at access " + std::to_string(i);
+            access.isWrite = is_write != 0;
+        }
+        first += n;
     }
     return {};
 }

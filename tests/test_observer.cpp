@@ -209,10 +209,22 @@ TEST(MetricsObserver, HandlesEveryIdleOutcome)
               6u);
 }
 
+/** In-memory sink collecting records in arrival order. */
+class CollectSink final : public obs::ProvenanceSink
+{
+  public:
+    void write(const obs::ProvenanceRecord &record) override
+    {
+        records.push_back(record);
+    }
+
+    std::vector<obs::ProvenanceRecord> records;
+};
+
 TEST(ProvenanceObserver, HandlesEveryIdleOutcome)
 {
-    obs::ProvenanceRecorder recorder; // sinkless: keeps a snapshot
-    ProvenanceObserver observer(recorder, power::DiskParams{});
+    CollectSink sink;
+    ProvenanceObserver observer(sink, power::DiskParams{});
     ExecutionInput input;
     input.app = "t";
     input.execution = 3;
@@ -221,8 +233,7 @@ TEST(ProvenanceObserver, HandlesEveryIdleOutcome)
     for (const IdlePeriodRecord &record : periods)
         observer.onIdlePeriod(record);
 
-    const std::vector<obs::ProvenanceRecord> records =
-        recorder.snapshot();
+    const std::vector<obs::ProvenanceRecord> &records = sink.records;
     ASSERT_EQ(records.size(), periods.size());
     for (std::size_t i = 0; i < records.size(); ++i) {
         EXPECT_STREQ(obs::provenanceOutcomeName(records[i].outcome),

@@ -1,7 +1,7 @@
 /**
  * @file
- * Provenance flight-recorder tests: ring-buffer semantics, binary
- * round-trip and rejection of malformed files, JSONL rendering,
+ * Provenance tests: binary round-trip and rejection of malformed
+ * files, JSONL rendering,
  * name-table lockstep with sim/pred, forensics aggregation, energy
  * deltas against two real disks, and the
  * end-to-end reconciliation guarantee — every cell kind writes one
@@ -71,10 +71,7 @@ class CollectSink final : public obs::ProvenanceSink
         records.push_back(record);
     }
 
-    void close() override { ++closes; }
-
     std::vector<obs::ProvenanceRecord> records;
-    int closes = 0;
 };
 
 struct TempDir
@@ -95,50 +92,6 @@ struct TempDir
     }
     std::string path;
 };
-
-TEST(ProvenanceRecorder, SinklessRingKeepsNewestWindow)
-{
-    obs::ProvenanceRecorder recorder(4);
-    for (int i = 0; i < 10; ++i)
-        recorder.append(sampleRecord(i));
-
-    EXPECT_EQ(recorder.appended(), 10u);
-    EXPECT_EQ(recorder.overwritten(), 6u);
-    EXPECT_EQ(recorder.flushed(), 0u);
-
-    const auto kept = recorder.snapshot();
-    ASSERT_EQ(kept.size(), 4u);
-    for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(kept[i], sampleRecord(6 + i)) << "slot " << i;
-}
-
-TEST(ProvenanceRecorder, SinksSeeEveryRecordExactlyOnceInOrder)
-{
-    obs::ProvenanceRecorder recorder(2); // forces mid-run drains
-    CollectSink sink;
-    recorder.addSink(&sink);
-    for (int i = 0; i < 5; ++i)
-        recorder.append(sampleRecord(i));
-    recorder.close();
-
-    EXPECT_EQ(recorder.overwritten(), 0u);
-    EXPECT_EQ(recorder.flushed(), 5u);
-    ASSERT_EQ(sink.records.size(), 5u);
-    for (int i = 0; i < 5; ++i)
-        EXPECT_EQ(sink.records[i], sampleRecord(i)) << "record " << i;
-    EXPECT_EQ(sink.closes, 1);
-
-    recorder.close(); // idempotent
-    EXPECT_EQ(sink.closes, 1);
-}
-
-TEST(ProvenanceRecorderDeath, AddSinkAfterAppendPanics)
-{
-    obs::ProvenanceRecorder recorder(4);
-    CollectSink sink;
-    recorder.append(sampleRecord(0));
-    EXPECT_DEATH(recorder.addSink(&sink), "addSink");
-}
 
 TEST(ProvenanceBinary, RoundTripPreservesEveryField)
 {
@@ -383,8 +336,8 @@ TEST(ProvenanceEnergyDelta, EqualsTheLedgerDifferenceOfTwoDisks)
     const TimeUs shutdown_at = secondsUs(2.0);
     for (const TimeUs end : {secondsUs(40.0), secondsUs(2.3)}) {
         for (const bool trailing : {false, true}) {
-            obs::ProvenanceRecorder recorder;
-            sim::ProvenanceObserver observer(recorder, params);
+            CollectSink sink;
+            sim::ProvenanceObserver observer(sink, params);
             sim::ExecutionInput input;
             input.endTime = trailing ? end : end + secondsUs(10.0);
             observer.onExecutionBegin(input);
@@ -397,8 +350,8 @@ TEST(ProvenanceEnergyDelta, EqualsTheLedgerDifferenceOfTwoDisks)
             record.outcome = sim::IdleOutcome::HitPrimary;
             observer.onIdlePeriod(record);
 
-            const std::vector<obs::ProvenanceRecord> records =
-                recorder.snapshot();
+            const std::vector<obs::ProvenanceRecord> &records =
+                sink.records;
             ASSERT_EQ(records.size(), 1u);
             const double idling =
                 scriptedDiskJ(params, -1, end, !trailing);
@@ -447,6 +400,19 @@ TEST(ProvenanceReconciliation, EveryCellWritesOneLogMatchingItsStats)
                                           records),
                   "");
         ASSERT_FALSE(records.empty()) << name;
+        // Records arrive in replay order: executions in sequence,
+        // and each execution's periods in the order their gaps
+        // closed.
+        for (std::size_t i = 1; i < records.size(); ++i) {
+            const obs::ProvenanceRecord &prev = records[i - 1];
+            const obs::ProvenanceRecord &next = records[i];
+            ASSERT_LE(prev.execution, next.execution)
+                << name << " record " << i;
+            if (prev.execution == next.execution) {
+                ASSERT_LE(prev.endUs, next.endUs)
+                    << name << " record " << i;
+            }
+        }
         obs::ProvenanceForensics forensics;
         for (const auto &record : records)
             forensics.add(record);

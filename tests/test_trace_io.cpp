@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <sstream>
 
@@ -125,6 +128,40 @@ TEST(TraceBinaryIo, RejectsTruncatedStream)
     Trace loaded;
     EXPECT_NE(readBinary(truncated, loaded).find("truncated"),
               std::string::npos);
+}
+
+/** Peak resident set of this process so far, in KiB. */
+long
+peakRssKib()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_maxrss;
+}
+
+TEST(DiskAccessReaderDeath, UntrustedCountGrowsMemoryWithTheBytesRead)
+{
+    // Eight bytes: a count of 2^26 records (1.8 GiB of them) and no
+    // records. The reader must reject the input without first
+    // allocating for the count. Measured in a child process, so the
+    // peak is this input's alone.
+    std::string bytes(8, '\0');
+    bytes[3] = 0x04; // 2^26, little-endian
+    EXPECT_EXIT(
+        {
+            const long before = peakRssKib();
+            std::istringstream is(bytes);
+            std::vector<DiskAccess> accesses;
+            const std::string problem = readDiskAccesses(is, accesses);
+            const long grownKib = peakRssKib() - before;
+            std::fprintf(stderr, "'%s', peak RSS +%ld KiB\n",
+                         problem.c_str(), grownKib);
+            std::exit(problem == "truncated access records" &&
+                              grownKib < 64 * 1024
+                          ? 0
+                          : 1);
+        },
+        testing::ExitedWithCode(0), "");
 }
 
 TEST(TraceBinaryIo, HandlesEmptyTrace)
